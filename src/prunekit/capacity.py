@@ -40,9 +40,11 @@ class LayerCapacity:
 @dataclass
 class CapacityProfile:
     layers: list[LayerCapacity]
-    omega_total: float
-    inverse_mu_sq_total: float
     model_sha256: str
+
+    @property
+    def omega_total(self) -> float:
+        return float(sum(e.omega for e in self.layers))
 
     def layer(self, layer_id: str) -> LayerCapacity:
         for entry in self.layers:
@@ -148,12 +150,7 @@ def capacity_profile(
             )
         )
 
-    return CapacityProfile(
-        layers=entries,
-        omega_total=float(sum(e.omega for e in entries)),
-        inverse_mu_sq_total=float(sum(1.0 / (e.mu * e.mu) for e in entries)),
-        model_sha256=graph_checksum(g),
-    )
+    return CapacityProfile(layers=entries, model_sha256=graph_checksum(g))
 
 
 def profile_from_capacities(mus: dict[str, float], model_sha256: str = "") -> CapacityProfile:
@@ -166,12 +163,7 @@ def profile_from_capacities(mus: dict[str, float], model_sha256: str = "") -> Ca
         entries.append(LayerCapacity(lid, mu, 1.0 / (mu * mu), 0, 0))
     if not entries:
         raise ValidationError("no capacities given")
-    return CapacityProfile(
-        layers=entries,
-        omega_total=float(sum(e.omega for e in entries)),
-        inverse_mu_sq_total=float(sum(1.0 / (e.mu * e.mu) for e in entries)),
-        model_sha256=model_sha256,
-    )
+    return CapacityProfile(layers=entries, model_sha256=model_sha256)
 
 
 def profile_to_dict(profile: CapacityProfile) -> dict:
@@ -187,7 +179,8 @@ def profile_to_dict(profile: CapacityProfile) -> dict:
             }
             for e in profile.layers
         ],
-        "aggregates": {"Omega": profile.omega_total, "M": profile.inverse_mu_sq_total},
+        # M = sum(1 / mu^2) is Omega itself; it stays for report compatibility
+        "aggregates": {"Omega": profile.omega_total, "M": profile.omega_total},
         "conventions": conventions(),
     }
 
@@ -209,11 +202,7 @@ def load_report(path) -> CapacityProfile:
             )
             for e in payload["layers"]
         ]
-        return CapacityProfile(
-            layers=entries,
-            omega_total=float(payload["aggregates"]["Omega"]),
-            inverse_mu_sq_total=float(payload["aggregates"]["M"]),
-            model_sha256=str(payload.get("model_sha256", "")),
-        )
+        return CapacityProfile(layers=entries,
+                               model_sha256=str(payload.get("model_sha256", "")))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"malformed capacity report: {exc}") from exc

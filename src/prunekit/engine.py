@@ -226,6 +226,8 @@ def loss_and_grads(g: ModelGraph, batch: np.ndarray, labels: np.ndarray
                 (cache["cols"].T @ d_flat).reshape(kh, kw, cin, cout),
                 d_flat.sum(axis=0),
             )
+            if i == 0:
+                break  # no layer below needs the input gradient
             dcols = d_flat @ kernel.reshape(-1, cout).T
             d = _cols_to_input_grad(dcols, cache["padded_shape"], kh, kw,
                                     cache["oh"], cache["ow"], cache["x_shape"])

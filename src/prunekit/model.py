@@ -71,8 +71,13 @@ def _check_filter_shape(layer: LayerSpec, expected_len: int) -> tuple[int, ...]:
     return tuple(int(e) for e in fs)
 
 
-def validate_graph(g: ModelGraph) -> list[tuple[int, ...]]:
-    """Check chain composition and weight shapes; return per-layer output shapes."""
+def graph_shapes(g: ModelGraph) -> list[tuple[int, ...]]:
+    """Check chain composition and weight shapes; return per-layer output shapes.
+
+    Reads no weight values, so calls that only need the structure use it on
+    its own: the pruning dry run, count_flops and the self-check of a freshly
+    pruned graph.
+    """
     if not g.layers:
         raise ValidationError("model has no layers")
     if int(g.num_classes) < 1:
@@ -104,7 +109,8 @@ def validate_graph(g: ModelGraph) -> list[tuple[int, ...]]:
         if layer.kind == "conv2d":
             if len(shape) != 3:
                 raise ValidationError(f"layer {layer.id}: conv2d needs a (h, w, c) input")
-            kh, kw, cin, cout = _check_filter_shape(layer, 4)
+            fs = _check_filter_shape(layer, 4)
+            kh, kw, cin, cout = fs
             if layer.padding not in PADDINGS:
                 raise ValidationError(f"layer {layer.id}: conv2d padding must be one of {PADDINGS}")
             h, w, c = shape
@@ -118,14 +124,6 @@ def validate_graph(g: ModelGraph) -> list[tuple[int, ...]]:
                 oh, ow = h - kh + 1, w - kw + 1
                 if oh < 1 or ow < 1:
                     raise ValidationError(f"layer {layer.id}: filter larger than input")
-            kernel, bias = g.weights[layer.id]
-            if kernel.shape != (kh, kw, cin, cout) or bias.shape != (cout,):
-                raise ValidationError(
-                    f"layer {layer.id}: weight shapes {kernel.shape}/{bias.shape} "
-                    f"do not match filter_shape {layer.filter_shape}"
-                )
-            validate_tensor(kernel, f"layer {layer.id} kernel")
-            validate_tensor(bias, f"layer {layer.id} bias")
             shape = (oh, ow, cout)
         elif layer.kind == "maxpool":
             if len(shape) != 3:
@@ -150,20 +148,20 @@ def validate_graph(g: ModelGraph) -> list[tuple[int, ...]]:
                 raise ValidationError(
                     f"layer {layer.id}: fully-connected needs a flat input, got {shape}"
                 )
-            fin, fout = _check_filter_shape(layer, 2)
+            fs = _check_filter_shape(layer, 2)
+            fin, fout = fs
             if fin != shape[0]:
                 raise ValidationError(
                     f"layer {layer.id}: expects {fin} input features, producer gives {shape[0]}"
                 )
+            shape = (fout,)
+        if layer.is_weighted():
             kernel, bias = g.weights[layer.id]
-            if kernel.shape != (fin, fout) or bias.shape != (fout,):
+            if kernel.shape != fs or bias.shape != fs[-1:]:
                 raise ValidationError(
                     f"layer {layer.id}: weight shapes {kernel.shape}/{bias.shape} "
                     f"do not match filter_shape {layer.filter_shape}"
                 )
-            validate_tensor(kernel, f"layer {layer.id} kernel")
-            validate_tensor(bias, f"layer {layer.id} bias")
-            shape = (fout,)
         shapes.append(shape)
 
     if shape != (int(g.num_classes),):
@@ -173,8 +171,20 @@ def validate_graph(g: ModelGraph) -> list[tuple[int, ...]]:
     return shapes
 
 
-def weighted_layers(g: ModelGraph) -> list[LayerSpec]:
-    return [l for l in g.layers if l.is_weighted()]
+def validate_graph(g: ModelGraph) -> list[tuple[int, ...]]:
+    """graph_shapes plus a value check of every weight tensor (float64, all
+    finite); return per-layer output shapes.
+
+    Weights are checked where they enter or leave a graph: load_model,
+    save_model, init_weights, train/finetune and the three prune functions.
+    """
+    shapes = graph_shapes(g)
+    for layer in g.layers:
+        if layer.is_weighted():
+            kernel, bias = g.weights[layer.id]
+            validate_tensor(kernel, f"layer {layer.id} kernel")
+            validate_tensor(bias, f"layer {layer.id} bias")
+    return shapes
 
 
 def layer_param_count(layer: LayerSpec) -> int:
@@ -194,7 +204,7 @@ def count_params(g: ModelGraph) -> tuple[dict[str, int], int]:
 
 def count_flops(g: ModelGraph) -> tuple[dict[str, int], int]:
     """FLOP counts with one multiply-accumulate = 2 FLOPs; pools count 0."""
-    shapes = validate_graph(g)
+    shapes = graph_shapes(g)
     per_layer = {}
     for layer, shp in zip(g.layers, shapes):
         if layer.kind == "conv2d":

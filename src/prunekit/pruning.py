@@ -3,14 +3,17 @@
 Channel pruning physically removes output channels and propagates each
 removal into the consumer's input slices (conv -> conv input channels,
 conv -> flatten -> fc rows at every spatial position, fc -> fc rows), so
-achieved counts always come from the real post-prune shapes. A symbolic
-dry run predicts those counts without touching weights, which is what the
-target-strength calibration loop iterates on.
+achieved counts always come from the real post-prune shapes. One walk of
+the chain yields, per weighted layer, the output channels it loses and the
+shape a flatten unrolls before it; the prune deletes along that walk and
+the symbolic dry run counts along it, reading shapes only. So the count the
+target-strength calibration loop iterates on is the count the prune leaves.
+Weight-magnitude pruning and its dry run share the one k = round(s_l * |K|).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable
 
@@ -28,6 +31,7 @@ from .model import (
     LayerSpec,
     ModelGraph,
     count_params,
+    graph_shapes,
     load_model,
     manifest_layers,
     save_model,
@@ -65,19 +69,23 @@ class PruneResult:
     plan_sha256: str | None = None
 
 
-def _round_half_away(x: float) -> int:
-    return int(math.floor(x + 0.5))
-
-
-def _plan_ids_checked(g: ModelGraph, plan: SparsityPlan) -> list[str]:
+def _plan_ids_checked(g: ModelGraph, plan: SparsityPlan) -> set[str]:
     prunable = set(g.prunable_ids())
-    for lid in plan.layer_ids():
+    for row in plan.layers:
+        lid = row.layer_id
         spec = g.spec(lid)  # raises on unknown id
         if not spec.is_weighted():
             raise ValidationError(f"layer {lid}: cannot prune a weightless layer")
         if lid not in prunable:
             raise ValidationError(f"layer {lid}: plan covers a non-prunable layer")
-    return plan.layer_ids()
+        if not 0.0 <= row.sparsity <= 1.0:  # NaN fails this too
+            raise ValidationError(f"layer {lid}: plan sparsity {row.sparsity} is outside [0, 1]")
+    return set(plan.layer_ids())
+
+
+def _weights_to_zero(plan: SparsityPlan, layer: LayerSpec) -> int:
+    """k = round-half-away(s_l * |K|), the kernel weights weight-magnitude zeroes."""
+    return int(math.floor(plan.sparsity_for(layer.id) * math.prod(layer.filter_shape) + 0.5))
 
 
 def prune_weights_magnitude(g: ModelGraph, plan: SparsityPlan) -> PruneResult:
@@ -87,7 +95,7 @@ def prune_weights_magnitude(g: ModelGraph, plan: SparsityPlan) -> PruneResult:
     fine-tuning can hold pruned positions at zero.
     """
     validate_graph(g)
-    plan_ids = set(_plan_ids_checked(g, plan))
+    plan_ids = _plan_ids_checked(g, plan)
     out = ModelGraph(list(g.layers), dict(g.weights), g.input_shape, g.num_classes)
     masks: dict[str, np.ndarray] = {}
     remaining: dict[str, int] = {}
@@ -98,12 +106,7 @@ def prune_weights_magnitude(g: ModelGraph, plan: SparsityPlan) -> PruneResult:
         if layer.id not in plan_ids:
             remaining[layer.id] = kernel.size + bias.size
             continue
-        s_l = plan.sparsity_for(layer.id)
-        k = _round_half_away(s_l * kernel.size)
-        if k > kernel.size:
-            raise ValidationError(
-                f"layer {layer.id}: cannot prune {k} of {kernel.size} kernel weights"
-            )
+        k = _weights_to_zero(plan, layer)
         flat = kernel.reshape(-1).copy()
         order = np.argsort(np.abs(flat), kind="stable")
         mask = np.ones(flat.size, dtype=bool)
@@ -132,27 +135,33 @@ def channels_to_prune(plan: SparsityPlan, layer: LayerSpec) -> int:
     return int(math.floor(plan.sparsity_for(layer.id) * c_out))
 
 
-def _weighted_successor(g: ModelGraph, layer_id: str) -> str | None:
-    seen = False
-    for layer in g.layers:
-        if layer.id == layer_id:
-            seen = True
-            continue
-        if seen and layer.is_weighted():
-            return layer.id
-    return None
+def _channel_edits(g: ModelGraph, plan: SparsityPlan
+                   ) -> list[tuple[LayerSpec, int, tuple[int, ...] | None]]:
+    """The one walk of the chain behind both the channel prune and its dry run.
 
-
-def _removal_counts(g: ModelGraph, plan: SparsityPlan) -> dict[str, int]:
-    counts = {}
-    for lid in _plan_ids_checked(g, plan):
-        n = channels_to_prune(plan, g.spec(lid))
-        if n > 0 and _weighted_successor(g, lid) is None:
-            raise ValidationError(
-                f"layer {lid}: channel pruning needs a downstream weighted layer"
-            )
-        counts[lid] = n
-    return counts
+    Returns ``(layer, n, flat)`` per weighted layer, in chain order: the n
+    output channels the plan removes from it, and the ``(h, w, c)`` that a
+    flatten unrolls between it and the weighted layer feeding it (None when
+    no flatten lies between them). Reads shapes only.
+    """
+    shapes = graph_shapes(g)
+    plan_ids = _plan_ids_checked(g, plan)
+    edits = []
+    in_shape: tuple[int, ...] = tuple(g.input_shape)
+    flat = None
+    for layer, out_shape in zip(g.layers, shapes):
+        if layer.kind == "flatten":
+            flat = in_shape
+        elif layer.is_weighted():
+            edits.append((layer, channels_to_prune(plan, layer) if layer.id in plan_ids else 0,
+                          flat))
+            flat = None
+        in_shape = out_shape
+    if edits and edits[-1][1] > 0:
+        raise ValidationError(
+            f"layer {edits[-1][0].id}: channel pruning needs a downstream weighted layer"
+        )
+    return edits
 
 
 def _l1_ranking(kernel: np.ndarray, kind: str, n: int) -> np.ndarray:
@@ -164,66 +173,28 @@ def _l1_ranking(kernel: np.ndarray, kind: str, n: int) -> np.ndarray:
 def _prune_channels(g: ModelGraph, plan: SparsityPlan,
                     choose: Callable[[LayerSpec, np.ndarray, int], np.ndarray],
                     method: PruneMethod) -> PruneResult:
-    shapes = validate_graph(g)
-    input_shape_of = {}
-    prev: tuple[int, ...] = tuple(g.input_shape)
-    for layer, shp in zip(g.layers, shapes):
-        input_shape_of[layer.id] = prev
-        prev = shp
-    to_remove = _removal_counts(g, plan)
-
-    new_layers: list[LayerSpec] = []
+    validate_graph(g)
     new_weights: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    pending: np.ndarray | None = None  # input slices to drop at the next weighted layer
-    pending_is_flat = False
-    for layer in g.layers:
-        if layer.kind == "maxpool":
-            new_layers.append(layer)
-            continue
-        if layer.kind == "flatten":
-            if pending is not None and not pending_is_flat:
-                h, w, c = input_shape_of[layer.id]
-                keep = np.ones((h, w, c), dtype=bool)
-                keep[:, :, pending] = False
-                pending = np.nonzero(~keep.reshape(-1))[0]
-                pending_is_flat = True
-            new_layers.append(layer)
-            continue
-
+    removed = np.empty(0, dtype=np.intp)  # output channels the producer lost
+    for layer, n, flat in _channel_edits(g, plan):
+        in_axis, out_axis = (2, 3) if layer.kind == "conv2d" else (0, 1)
+        if flat is not None:  # flattened rows are (i * w + j) * c + channel
+            rows = np.arange(math.prod(flat))
+            removed = rows[np.isin(rows % flat[2], removed)]
         kernel, bias = g.weights[layer.id]
-        kernel = kernel.copy()
-        bias = bias.copy()
-        if pending is not None:
-            axis = 2 if layer.kind == "conv2d" else 0
-            kernel = np.delete(kernel, pending, axis=axis)
-            pending = None
-            pending_is_flat = False
-        n = to_remove.get(layer.id, 0)
-        if n > 0:
-            c_out = kernel.shape[-1]
-            if n >= c_out:
-                raise ValidationError(
-                    f"layer {layer.id}: cannot remove {n} of {c_out} channels"
-                )
-            removed = choose(layer, kernel, n)
-            kernel = np.delete(kernel, removed, axis=3 if layer.kind == "conv2d" else 1)
-            bias = np.delete(bias, removed)
-            pending = removed
-            pending_is_flat = False
-        new_layers.append(
-            LayerSpec(
-                id=layer.id,
-                kind=layer.kind,
-                filter_shape=tuple(int(e) for e in kernel.shape),
-                padding=layer.padding,
-                activation=layer.activation,
-                prunable=layer.prunable,
+        kernel = np.delete(kernel, removed, axis=in_axis)
+        if n >= kernel.shape[-1]:
+            raise ValidationError(
+                f"layer {layer.id}: cannot remove {n} of {kernel.shape[-1]} channels"
             )
-        )
-        new_weights[layer.id] = (kernel, bias)
+        removed = choose(layer, kernel, n) if n else np.empty(0, dtype=np.intp)
+        new_weights[layer.id] = (np.delete(kernel, removed, axis=out_axis),
+                                 np.delete(bias, removed))
 
+    new_layers = [replace(layer, filter_shape=new_weights[layer.id][0].shape)
+                  if layer.is_weighted() else layer for layer in g.layers]
     out = ModelGraph(new_layers, new_weights, tuple(g.input_shape), g.num_classes)
-    validate_graph(out)
+    graph_shapes(out)
     per_layer, total = count_params(out)
     per_layer = {lid: cnt for lid, cnt in per_layer.items() if out.spec(lid).is_weighted()}
     n_orig = count_params(g)[1]
@@ -269,61 +240,30 @@ def prune(g: ModelGraph, plan: SparsityPlan, method: PruneMethod,
 
 
 def achieved_remaining(g: ModelGraph, plan: SparsityPlan, method: PruneMethod | str) -> int:
-    """Whole-model parameter count that the method would leave, without
-    mutating any weights. For channel methods this includes the input slices
+    """Whole-model parameter count that the method would leave, from shapes
+    alone: no weight value is read or checked. For channel methods this includes the input slices
     lost by successors, which is why channel pruning usually overshoots."""
     kind = method.kind if isinstance(method, PruneMethod) else str(method)
     if kind not in METHOD_KINDS:
         raise ValidationError(f"unknown pruning method {kind!r}")
-    shapes = validate_graph(g)
-    plan_ids = set(_plan_ids_checked(g, plan))
-
     if kind == "weight-magnitude":
-        total = 0
-        for layer in g.layers:
-            if not layer.is_weighted():
-                continue
-            kernel, bias = g.weights[layer.id]
-            if layer.id in plan_ids:
-                k = _round_half_away(plan.sparsity_for(layer.id) * kernel.size)
-                total += kernel.size - k + bias.size
-            else:
-                total += kernel.size + bias.size
-        return int(total)
-
-    to_remove = _removal_counts(g, plan)
-    input_shape_of = {}
-    prev: tuple[int, ...] = tuple(g.input_shape)
-    for layer, shp in zip(g.layers, shapes):
-        input_shape_of[layer.id] = prev
-        prev = shp
+        graph_shapes(g)
+        plan_ids = _plan_ids_checked(g, plan)
+        return count_params(g)[1] - sum(_weights_to_zero(plan, g.spec(lid)) for lid in plan_ids)
 
     total = 0
-    pending_channels = 0  # output channels removed upstream, not yet consumed
-    pending_rows = 0
-    for layer in g.layers:
-        if layer.kind == "flatten":
-            if pending_channels:
-                h, w, _ = input_shape_of[layer.id]
-                pending_rows = pending_channels * h * w
-                pending_channels = 0
-            continue
-        if not layer.is_weighted():
-            continue
-        n_out = to_remove.get(layer.id, 0)
+    gone = 0  # output channels the producer lost
+    for layer, n, flat in _channel_edits(g, plan):
         if layer.kind == "conv2d":
             kh, kw, cin, cout = layer.filter_shape
-            cin -= pending_channels
-            cout -= n_out
-            total += kh * kw * cin * cout + cout
+            fan_in, per_channel = kh * kw * cin, kh * kw
         else:
-            fin, fout = layer.filter_shape
-            fin -= pending_rows if pending_rows else pending_channels
-            fout -= n_out
-            total += fin * fout + fout
-        pending_channels = n_out
-        pending_rows = 0
-    return int(total)
+            fan_in, cout = layer.filter_shape
+            per_channel = flat[0] * flat[1] if flat is not None else 1
+        kept = cout - n
+        total += (fan_in - gone * per_channel) * kept + kept
+        gone = n
+    return total
 
 
 @dataclass

@@ -1,8 +1,8 @@
-"""Dense tensor conventions and norms.
+"""Dense tensor conventions and the norm used by the capacity probe.
 
 Everything downstream carries weights and activations as float64 numpy
-arrays in row-major order with rank 1..4; these helpers pin that contract
-and define the two norms used by the capacity probe.
+arrays in row-major order with rank 1..4; validate_tensor pins that
+contract.
 """
 from __future__ import annotations
 
@@ -11,12 +11,6 @@ import numpy as np
 from .errors import ValidationError
 
 MAX_RANK = 4
-
-
-def as_tensor(data, name: str = "tensor") -> np.ndarray:
-    """Coerce to a contiguous float64 array and validate it."""
-    arr = np.ascontiguousarray(data, dtype=np.float64)
-    return validate_tensor(arr, name)
 
 
 def validate_tensor(arr: np.ndarray, name: str = "tensor") -> np.ndarray:
@@ -33,9 +27,4 @@ def validate_tensor(arr: np.ndarray, name: str = "tensor") -> np.ndarray:
 
 def frobenius_norm(t: np.ndarray) -> float:
     """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(np.ravel(t)))
-
-
-def l2_norm(t: np.ndarray) -> float:
-    """Euclidean norm of the flattened tensor; equals frobenius_norm."""
     return float(np.linalg.norm(np.ravel(t)))

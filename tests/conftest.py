@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -44,6 +47,19 @@ def conv_chain(widths=(6, 8), fc_out=(10, 4), input_shape=(8, 8, 3), seed=11,
                   prunable=False),
     ]
     return init_weights(blank_graph(layers, input_shape, fc_out[1]), seed)
+
+
+def poison_weight_blob(manifest_path, layer_id):
+    """Write a NaN into a saved layer's weight blob and re-sign the blob in the
+    manifest, so that only the value check can refuse the model."""
+    manifest = json.loads(manifest_path.read_text())
+    entry = next(e for e in manifest["layers"] if e["id"] == layer_id)
+    blob = manifest_path.parent / entry["weight_file"]
+    values = np.frombuffer(blob.read_bytes(), dtype="<f8").copy()
+    values[0] = np.nan
+    blob.write_bytes(values.tobytes())
+    entry["sha256_weight"] = hashlib.sha256(values.tobytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
 
 
 def tiny_dataset(n=40, shape=(8, 8, 3), num_classes=4, seed=5):

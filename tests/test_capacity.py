@@ -18,6 +18,7 @@ from prunekit.engine import forward
 from prunekit.errors import NumericalError, ValidationError
 from prunekit.model import LayerSpec
 from prunekit.presets import blank_graph
+from prunekit.serialize import read_json
 from prunekit.tensors import frobenius_norm
 from test_engine import conv_matrix
 
@@ -55,12 +56,14 @@ def test_scalar_fc_capacity_is_one():
     assert layer_capacity(trace, "fc", 7.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_profile_omega_arithmetic():
+def test_profile_omega_arithmetic(tmp_path):
     profile = profile_from_capacities({"a": 0.5, "b": 1.0})
     assert profile.layer("a").omega == pytest.approx(4.0)
     assert profile.layer("b").omega == pytest.approx(1.0)
     assert profile.omega_total == pytest.approx(5.0)
-    assert profile.inverse_mu_sq_total == pytest.approx(5.0)
+    save_report(profile, tmp_path / "capacity.json")
+    aggregates = read_json(tmp_path / "capacity.json")["aggregates"]
+    assert aggregates["M"] == aggregates["Omega"] == profile.omega_total
 
 
 def test_single_layer_share_is_one():

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import conv_chain
+from conftest import conv_chain, poison_weight_blob
 from prunekit.cli import main
 from prunekit.data import save_dataset, synthetic_textures
 from prunekit.model import save_model
@@ -62,6 +62,14 @@ def test_eval_shape_mismatch_exits_2(workdir, capsys):
     code, _, err = run(["eval", "--model", workdir / "model.json", "--data", bad], capsys)
     assert code == 2
     assert "error" in err
+
+
+def test_non_finite_weight_blob_exits_2(workdir, capsys):
+    poison_weight_blob(workdir / "model.json", "c2")
+    code, _, err = run(["eval", "--model", workdir / "model.json",
+                        "--data", workdir / "data.pkds"], capsys)
+    assert code == 2
+    assert "error: layer c2 kernel: contains non-finite" in err
 
 
 def test_missing_model_exits_4(workdir, capsys):
@@ -193,6 +201,22 @@ def test_prune_random_requires_seed(workdir, capsys):
                         "--out", workdir / "pruned.json"], capsys)
     assert code == 2
     assert "seed" in err
+
+
+@pytest.mark.parametrize("method", ["weight-magnitude", "channel-l1"])
+@pytest.mark.parametrize("s_l", [-0.5, float("nan")])
+def test_prune_malformed_plan_sparsity_exits_2(workdir, capsys, s_l, method):
+    run(["allocate", "--model", workdir / "model.json", "--uniform",
+         "--target", 0.5, "--out", workdir / "plan.json"], capsys)
+    plan = read_json(workdir / "plan.json")
+    next(e for e in plan["layers"] if e["id"] == "c2")["s_l"] = s_l
+    (workdir / "plan.json").write_text(json.dumps(plan))
+    code, _, err = run(["prune", "--model", workdir / "model.json",
+                        "--plan", workdir / "plan.json", "--method", method,
+                        "--out", workdir / "pruned.json"], capsys)
+    assert code == 2
+    assert "error: layer c2: plan sparsity" in err
+    assert not (workdir / "pruned.json").exists()
 
 
 def test_plan_model_mismatch_rejected(workdir, capsys):

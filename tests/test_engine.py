@@ -216,6 +216,17 @@ def test_train_divergence_aborts():
         train(g, d, cfg)
 
 
+@pytest.mark.parametrize("run", [
+    lambda g, d, cfg: train(g, d, cfg),
+    lambda g, d, cfg: finetune(g, {}, d, cfg),
+], ids=["train", "finetune"])
+def test_training_rejects_non_finite_weight(run):
+    g = conv_chain(seed=4)
+    g.weights["f1"][0][0, 0] = np.inf
+    with pytest.raises(ValidationError, match="f1 kernel: contains non-finite"):
+        run(g, tiny_dataset(), TrainConfig(epochs=1, learning_rate=0.01, seed=0))
+
+
 def test_train_rejects_lr_of_1000():
     with pytest.raises(ValidationError):
         TrainConfig(epochs=1, learning_rate=1e3, seed=0).validate()

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from conftest import conv_chain
+from conftest import conv_chain, poison_weight_blob
 from prunekit.errors import ValidationError
 from prunekit.model import (
     LayerSpec,
@@ -151,6 +151,15 @@ def test_checksum_mismatch_names_layer(tmp_path):
     raw[0] ^= 0xFF
     blob.write_bytes(bytes(raw))
     with pytest.raises(ValidationError, match="f1"):
+        load_model(path)
+
+
+def test_non_finite_weight_blob_rejected(tmp_path):
+    g = conv_chain(seed=3)
+    path = tmp_path / "model.json"
+    save_model(g, path)
+    poison_weight_blob(path, "f1")
+    with pytest.raises(ValidationError, match="f1 kernel: contains non-finite"):
         load_model(path)
 
 

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import conv_chain, fc_graph
 from prunekit.allocator import solve_allocation, uniform_plan
 from prunekit.capacity import profile_from_capacities
-from prunekit.engine import forward
+from prunekit.engine import forward, init_weights
 from prunekit.errors import ValidationError
 from prunekit.model import LayerSpec, ModelGraph, count_params, validate_graph
 from prunekit.presets import blank_graph
@@ -234,6 +238,38 @@ def test_plan_on_non_prunable_layer_rejected():
         prune_channels_l1(g, plan)
 
 
+METHODS = [PruneMethod("weight-magnitude"), PruneMethod("channel-l1"),
+           PruneMethod("channel-random", seed=3)]
+
+
+@pytest.mark.parametrize("s_l", [-0.5, 1.5, float("inf"), float("nan")])
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.kind)
+def test_plan_sparsity_outside_unit_interval_rejected(method, s_l):
+    g = conv_chain(seed=5)
+    plan = plan_for(g, {"c2": s_l, "f1": 0.5})
+    with pytest.raises(ValidationError, match="c2: plan sparsity .* outside"):
+        achieved_remaining(g, plan, method)
+    with pytest.raises(ValidationError, match="c2: plan sparsity .* outside"):
+        prune(g, plan, method)
+
+
+def test_weight_prune_full_sparsity_zeroes_the_kernel():
+    g = conv_chain(seed=5)
+    plan = plan_for(g, {"c2": 1.0})
+    result = prune_weights_magnitude(g, plan)
+    assert not result.model.weights["c2"][0].any()
+    assert achieved_remaining(g, plan, "weight-magnitude") == result.remaining_total
+
+
+@pytest.mark.parametrize("method", METHODS, ids=lambda m: m.kind)
+def test_prune_rejects_non_finite_weight(method):
+    g = conv_chain(seed=5)
+    g.weights["c1"][0][0, 0, 0, 0] = np.inf
+    plan = plan_for(g, {"c2": 0.5, "f1": 0.5})
+    with pytest.raises(ValidationError, match="c1 kernel: contains non-finite"):
+        prune(g, plan, method)
+
+
 def test_dry_run_matches_execution_weight():
     g = conv_chain(seed=5)
     plan = plan_for(g, {"c2": 0.37, "f1": 0.62})
@@ -252,6 +288,61 @@ def test_dry_run_matches_execution_channel():
     dry = achieved_remaining(g, plan, "channel-l1")
     wet = prune_channels_l1(g, plan)
     assert dry == wet.remaining_total == count_params(wet.model)[1]
+
+
+@st.composite
+def random_chains(draw):
+    """A random valid chain and a plan sparsity for 1-4 of its layers.
+
+    The chain is (conv [pool])* -> flatten -> fc+, with 0-3 convs of kernel
+    1-4 per side (even sizes included), same or valid padding and an
+    optional 2x2 pool, and at least two fcs when there is no conv. The last
+    fc produces the classes and is never pruned.
+    """
+    h, w, c = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    input_shape = (h, w, c)
+    layers = []
+    n_conv = draw(st.integers(0, 3))
+    for i in range(n_conv):
+        kh, kw, cout = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+        valid = kh <= h and kw <= w and draw(st.booleans())
+        layers.append(LayerSpec(f"c{i}", "conv2d", (kh, kw, c, cout),
+                                padding="valid" if valid else "same", activation="relu"))
+        if valid:
+            h, w = h - kh + 1, w - kw + 1
+        c = cout
+        if h % 2 == 0 and w % 2 == 0 and draw(st.booleans()):
+            layers.append(LayerSpec(f"p{i}", "maxpool", (2, 2)))
+            h, w = h // 2, w // 2
+    layers.append(LayerSpec("fl", "flatten"))
+    fin = h * w * c
+    n_fc = draw(st.integers(1 if n_conv else 2, 3))
+    for i in range(n_fc):
+        fout = draw(st.integers(1, 6))
+        layers.append(LayerSpec(f"f{i}", "fully-connected", (fin, fout),
+                                activation="softmax" if i == n_fc - 1 else "relu"))
+        fin = fout
+    candidates = [layer.id for layer in layers if layer.is_weighted()][:-1]
+    chosen = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4, unique=True))
+    layers = [replace(layer, prunable=layer.id in chosen) for layer in layers]
+    g = init_weights(blank_graph(layers, input_shape, fin), draw(st.integers(0, 2**16)))
+    return g, {lid: draw(st.floats(0.0, 0.99)) for lid in chosen}
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_chains())
+def test_dry_run_matches_execution_on_random_chains(chain):
+    g, sparsities = chain
+    plan = plan_for(g, sparsities)
+    for method in METHODS:
+        result = prune(g, plan, method)
+        if method.is_channel:
+            executed = count_params(result.model)[1]
+        else:
+            executed = sum(int(result.masks[lid].sum()) if lid in result.masks else k.size
+                           for lid, (k, _) in result.model.weights.items())
+            executed += sum(b.size for _, b in result.model.weights.values())
+        assert achieved_remaining(g, plan, method) == executed == result.remaining_total
 
 
 def test_channel_overshoots_plan():
