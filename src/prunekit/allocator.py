@@ -9,6 +9,7 @@ the budget mismatch is monotone in lambda.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -240,20 +241,12 @@ def uniform_plan(layer_ids: list[str], params, s: float) -> SparsityPlan:
 
 def min_remaining_floors(g: ModelGraph, multiplier: int = 3) -> dict[str, int]:
     """Parameter floors that keep `multiplier` output channels (conv) or
-    output units (fc) alive in every prunable layer."""
+    output units (fc) alive in every prunable layer: `multiplier` times the
+    prod(filter_shape[:-1]) kernel weights of one output channel."""
     if multiplier < 0:
         raise ValidationError(f"floor multiplier must be >= 0, got {multiplier}")
-    floors: dict[str, int] = {}
-    for layer in g.layers:
-        if not layer.prunable:
-            continue
-        if layer.kind == "conv2d":
-            kh, kw, cin, _ = layer.filter_shape
-            floors[layer.id] = multiplier * kh * kw * cin
-        else:
-            fin, _ = layer.filter_shape
-            floors[layer.id] = multiplier * fin
-    return floors
+    return {layer.id: multiplier * math.prod(layer.filter_shape[:-1])
+            for layer in g.layers if layer.prunable}
 
 
 def allocation_input(

@@ -32,6 +32,7 @@ from .errors import (
 )
 from .model import graph_checksum, layer_param_count, load_model, save_model
 from .pruning import (
+    METHOD_KINDS,
     PruneMethod,
     calibrate_s_hat,
     load_prune_result,
@@ -255,8 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("prune", help="execute a plan with one pruning method")
     p.add_argument("--model", required=True)
     p.add_argument("--plan", required=True)
-    p.add_argument("--method", required=True,
-                   choices=["weight-magnitude", "channel-l1", "channel-random"])
+    p.add_argument("--method", required=True, choices=METHOD_KINDS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_prune)
@@ -272,8 +272,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--capacity", required=True)
     p.add_argument("--target", type=float, required=True)
-    p.add_argument("--method", default="channel-l1",
-                   choices=["weight-magnitude", "channel-l1", "channel-random"])
+    p.add_argument("--method", default="channel-l1", choices=METHOD_KINDS)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--floor-multiplier", type=int, default=3)
     p.set_defaults(func=cmd_calibrate)

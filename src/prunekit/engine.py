@@ -1,9 +1,13 @@
 """Forward/backward passes, SGD training and fine-tuning, accuracy evaluation.
 
-Convolutions run through an im2col lowering so the linear response of every
-layer is available as one matrix product; the capture path records, per
-sample, the norm of a layer's input and of its bias-free pre-activation
-response, which is all the capacity probe needs.
+Conv and fully-connected layers share one path. A conv is lowered by im2col
+to the matrix of its (kh, kw, c_in) input patches and is then an fc over
+them: the product with the kernel as a (fan_in, c_out) matrix, the bias,
+activation, capture and the weight, bias and input gradients are the same
+code for both kinds. Only the lowering before the product and the col2im
+scatter of patch gradients back onto the input are the conv's own. The
+capture path records, per sample, the norm of a layer's input and of its
+bias-free pre-activation response, which is all the capacity probe needs.
 """
 from __future__ import annotations
 
@@ -40,27 +44,20 @@ class TrainConfig:
 
 
 def init_weights(g: ModelGraph, seed: int) -> ModelGraph:
-    """Seeded uniform init in +/- sqrt(6 / (fan_in + fan_out)); zero biases."""
+    """Seeded uniform init in +/- sqrt(6 / (fan_in + fan_out)); zero biases.
+    fan_in = |K| / c_out and fan_out = |K| / c_in for a conv and an fc alike."""
     validate_graph(g)
     rng = np.random.default_rng(seed)
     out = clone_graph(g)
     for layer in out.layers:
         if not layer.is_weighted():
             continue
-        if layer.kind == "conv2d":
-            kh, kw, cin, cout = layer.filter_shape
-            fan_in, fan_out = kh * kw * cin, kh * kw * cout
-            shape: tuple[int, ...] = (kh, kw, cin, cout)
-            bias_len = cout
-        else:
-            fin, fout = layer.filter_shape
-            fan_in, fan_out = fin, fout
-            shape = (fin, fout)
-            bias_len = fout
-        limit = math.sqrt(6.0 / (fan_in + fan_out))
+        shape = layer.filter_shape
+        size = math.prod(shape)
+        limit = math.sqrt(6.0 / (size // shape[-1] + size // shape[-2]))
         out.weights[layer.id] = (
             rng.uniform(-limit, limit, size=shape),
-            np.zeros(bias_len),
+            np.zeros(shape[-1]),
         )
     return out
 
@@ -89,9 +86,11 @@ def _conv_cols(x: np.ndarray, kh: int, kw: int, padding: str):
     return np.ascontiguousarray(cols), oh, ow, xp.shape
 
 
-def _cols_to_input_grad(dcols: np.ndarray, padded_shape, kh: int, kw: int, oh: int, ow: int,
+def _cols_to_input_grad(dcols: np.ndarray, padded_shape, kh: int, kw: int,
                         orig_shape) -> np.ndarray:
+    """col2im: scatter-add patch gradients back onto the (unpadded) input."""
     n, hp, wp, c = padded_shape
+    oh, ow = hp - kh + 1, wp - kw + 1
     d6 = dcols.reshape(n, oh, ow, kh, kw, c)
     dxp = np.zeros(padded_shape)
     for di in range(kh):
@@ -119,23 +118,27 @@ def _run(g: ModelGraph, x: np.ndarray, capture: frozenset[str] | set[str],
     caches: list[dict] = []
     for layer in g.layers:
         cache: dict = {"layer": layer}
-        if layer.kind == "conv2d":
-            kh, kw, cin, cout = layer.filter_shape
+        if layer.is_weighted():
             kernel, bias = g.weights[layer.id]
-            cols, oh, ow, padded_shape = _conv_cols(x, kh, kw, layer.padding)
-            z_flat = cols @ kernel.reshape(-1, cout)
-            z = z_flat.reshape(n, oh, ow, cout)
+            cout = layer.filter_shape[-1]
+            if layer.kind == "conv2d":
+                kh, kw = layer.filter_shape[:2]
+                cols, oh, ow, padded_shape = _conv_cols(x, kh, kw, layer.padding)
+                out_shape: tuple[int, ...] = (n, oh, ow, cout)
+                if want_cache:
+                    cache.update(padded_shape=padded_shape, x_shape=x.shape)
+            else:
+                cols, out_shape = x, (n, cout)
+            z = (cols @ kernel.reshape(-1, cout)).reshape(out_shape)
             if layer.id in capture:
                 trace[layer.id] = (
                     np.linalg.norm(x.reshape(n, -1), axis=1),
                     np.linalg.norm(z.reshape(n, -1), axis=1),
                 )
             pre = z + bias
-            out = _apply_activation(pre, layer.activation)
             if want_cache:
-                cache.update(cols=cols, pre=pre, oh=oh, ow=ow,
-                             padded_shape=padded_shape, x_shape=x.shape)
-            x = out
+                cache.update(cols=cols, pre=pre)
+            x = _apply_activation(pre, layer.activation)
         elif layer.kind == "maxpool":
             ph, pw = layer.filter_shape
             nb, h, w, c = x.shape
@@ -146,23 +149,10 @@ def _run(g: ModelGraph, x: np.ndarray, capture: frozenset[str] | set[str],
             if want_cache:
                 cache.update(idx=idx, x_shape=x.shape)
             x = out
-        elif layer.kind == "flatten":
+        else:  # flatten
             if want_cache:
                 cache.update(x_shape=x.shape)
             x = x.reshape(n, -1)
-        else:  # fully-connected
-            kernel, bias = g.weights[layer.id]
-            z = x @ kernel
-            if layer.id in capture:
-                trace[layer.id] = (
-                    np.linalg.norm(x, axis=1),
-                    np.linalg.norm(z, axis=1),
-                )
-            pre = z + bias
-            out = _apply_activation(pre, layer.activation)
-            if want_cache:
-                cache.update(x=x, pre=pre)
-            x = out
         caches.append(cache)
     return x, trace, caches
 
@@ -213,24 +203,25 @@ def loss_and_grads(g: ModelGraph, batch: np.ndarray, labels: np.ndarray
     for i in range(len(g.layers) - 1, -1, -1):
         layer = g.layers[i]
         cache = caches[i]
-        if layer.is_weighted() and i != len(g.layers) - 1:
-            if layer.activation == "relu":
-                d = d * (cache["pre"] > 0.0)
-            elif layer.activation == "softmax":
-                raise ValidationError("softmax below the final layer is not trainable")
-        if layer.kind == "conv2d":
-            kh, kw, cin, cout = layer.filter_shape
+        if layer.is_weighted():
+            if i != len(g.layers) - 1:
+                if layer.activation == "relu":
+                    d = d * (cache["pre"] > 0.0)
+                elif layer.activation == "softmax":
+                    raise ValidationError("softmax below the final layer is not trainable")
             kernel, _ = g.weights[layer.id]
+            cout = layer.filter_shape[-1]
             d_flat = d.reshape(-1, cout)
             grads[layer.id] = (
-                (cache["cols"].T @ d_flat).reshape(kh, kw, cin, cout),
+                (cache["cols"].T @ d_flat).reshape(layer.filter_shape),
                 d_flat.sum(axis=0),
             )
             if i == 0:
                 break  # no layer below needs the input gradient
-            dcols = d_flat @ kernel.reshape(-1, cout).T
-            d = _cols_to_input_grad(dcols, cache["padded_shape"], kh, kw,
-                                    cache["oh"], cache["ow"], cache["x_shape"])
+            d = d_flat @ kernel.reshape(-1, cout).T
+            if layer.kind == "conv2d":
+                kh, kw = layer.filter_shape[:2]
+                d = _cols_to_input_grad(d, cache["padded_shape"], kh, kw, cache["x_shape"])
         elif layer.kind == "maxpool":
             ph, pw = layer.filter_shape
             nb, h, w, c = cache["x_shape"]
@@ -239,12 +230,8 @@ def loss_and_grads(g: ModelGraph, batch: np.ndarray, labels: np.ndarray
             dxt = d[..., None] * onehot
             d = dxt.reshape(nb, h // ph, w // pw, c, ph, pw).transpose(0, 1, 4, 2, 5, 3)
             d = d.reshape(nb, h, w, c)
-        elif layer.kind == "flatten":
+        else:  # flatten
             d = d.reshape(cache["x_shape"])
-        else:  # fully-connected
-            kernel, _ = g.weights[layer.id]
-            grads[layer.id] = (cache["x"].T @ d, d.sum(axis=0))
-            d = d @ kernel.T
     return loss, grads
 
 

@@ -7,6 +7,7 @@ SHA-256 integrity hashes.
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,6 +22,7 @@ KINDS = ("conv2d", "fully-connected", "maxpool", "flatten")
 ACTIVATIONS = ("relu", "softmax", "none")
 PADDINGS = ("same", "valid")
 WEIGHTED_KINDS = ("conv2d", "fully-connected")
+_FILTER_RANK = {"conv2d": 4, "fully-connected": 2, "maxpool": 2}
 
 _ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
@@ -30,7 +32,12 @@ class LayerSpec:
     """One layer of the chain.
 
     filter_shape is (kh, kw, c_in, c_out) for conv2d, (in, out) for
-    fully-connected, (ph, pw) for maxpool and None for flatten.
+    fully-connected, (ph, pw) for maxpool and None for flatten. A weighted
+    layer's kernel has exactly filter_shape, output channels last; its bias
+    has filter_shape[-1] entries, and one output channel holds
+    prod(filter_shape[:-1]) kernel weights. A conv is thus the
+    fully-connected layer of its im2col patches, and every per-layer count
+    reads these facts the same way for both kinds.
     """
 
     id: str
@@ -61,12 +68,13 @@ class ModelGraph:
         return [l.id for l in self.layers if l.prunable]
 
 
-def _check_filter_shape(layer: LayerSpec, expected_len: int) -> tuple[int, ...]:
+def _check_filter_shape(layer: LayerSpec) -> tuple[int, ...]:
     fs = layer.filter_shape
-    if fs is None or len(fs) != expected_len or any(int(e) < 1 for e in fs):
+    rank = _FILTER_RANK[layer.kind]
+    if fs is None or len(fs) != rank or any(int(e) < 1 for e in fs):
         raise ValidationError(
             f"layer {layer.id}: {layer.kind} needs a filter_shape of "
-            f"{expected_len} positive integers, got {fs}"
+            f"{rank} positive integers, got {fs}"
         )
     return tuple(int(e) for e in fs)
 
@@ -109,7 +117,7 @@ def graph_shapes(g: ModelGraph) -> list[tuple[int, ...]]:
         if layer.kind == "conv2d":
             if len(shape) != 3:
                 raise ValidationError(f"layer {layer.id}: conv2d needs a (h, w, c) input")
-            fs = _check_filter_shape(layer, 4)
+            fs = _check_filter_shape(layer)
             kh, kw, cin, cout = fs
             if layer.padding not in PADDINGS:
                 raise ValidationError(f"layer {layer.id}: conv2d padding must be one of {PADDINGS}")
@@ -128,7 +136,7 @@ def graph_shapes(g: ModelGraph) -> list[tuple[int, ...]]:
         elif layer.kind == "maxpool":
             if len(shape) != 3:
                 raise ValidationError(f"layer {layer.id}: maxpool needs a (h, w, c) input")
-            ph, pw = _check_filter_shape(layer, 2)
+            ph, pw = _check_filter_shape(layer)
             h, w, c = shape
             if h % ph or w % pw:
                 raise ValidationError(
@@ -148,7 +156,7 @@ def graph_shapes(g: ModelGraph) -> list[tuple[int, ...]]:
                 raise ValidationError(
                     f"layer {layer.id}: fully-connected needs a flat input, got {shape}"
                 )
-            fs = _check_filter_shape(layer, 2)
+            fs = _check_filter_shape(layer)
             fin, fout = fs
             if fin != shape[0]:
                 raise ValidationError(
@@ -188,13 +196,9 @@ def validate_graph(g: ModelGraph) -> list[tuple[int, ...]]:
 
 
 def layer_param_count(layer: LayerSpec) -> int:
-    if layer.kind == "conv2d":
-        kh, kw, cin, cout = layer.filter_shape
-        return kh * kw * cin * cout + cout
-    if layer.kind == "fully-connected":
-        fin, fout = layer.filter_shape
-        return fin * fout + fout
-    return 0
+    if not layer.is_weighted():
+        return 0
+    return math.prod(layer.filter_shape) + layer.filter_shape[-1]
 
 
 def count_params(g: ModelGraph) -> tuple[dict[str, int], int]:
@@ -203,19 +207,14 @@ def count_params(g: ModelGraph) -> tuple[dict[str, int], int]:
 
 
 def count_flops(g: ModelGraph) -> tuple[dict[str, int], int]:
-    """FLOP counts with one multiply-accumulate = 2 FLOPs; pools count 0."""
+    """FLOP counts with one multiply-accumulate = 2 FLOPs; pools count 0.
+    A weighted layer applies its kernel once per output position (oh * ow, or 1)."""
     shapes = graph_shapes(g)
-    per_layer = {}
-    for layer, shp in zip(g.layers, shapes):
-        if layer.kind == "conv2d":
-            kh, kw, cin, cout = layer.filter_shape
-            oh, ow, _ = shp
-            per_layer[layer.id] = 2 * oh * ow * kh * kw * cin * cout
-        elif layer.kind == "fully-connected":
-            fin, fout = layer.filter_shape
-            per_layer[layer.id] = 2 * fin * fout
-        else:
-            per_layer[layer.id] = 0
+    per_layer = {
+        layer.id: 2 * math.prod(shp[:-1]) * math.prod(layer.filter_shape)
+        if layer.is_weighted() else 0
+        for layer, shp in zip(g.layers, shapes)
+    }
     return per_layer, sum(per_layer.values())
 
 
@@ -319,14 +318,6 @@ def save_model(
     write_json(manifest, manifest_path)
 
 
-def _expected_counts(layer: LayerSpec) -> tuple[int, int]:
-    if layer.kind == "conv2d":
-        kh, kw, cin, cout = layer.filter_shape
-        return kh * kw * cin * cout, cout
-    fin, fout = layer.filter_shape
-    return fin * fout, fout
-
-
 def _read_blob(directory: Path, fname: str, sha: str, count: int, layer_id: str, what: str) -> np.ndarray:
     path = directory / fname
     if not path.exists():
@@ -378,15 +369,16 @@ def load_model(manifest_path) -> ModelGraph:
             raise ValidationError(f"malformed layer entry {entry!r}: {exc}") from exc
         layers.append(spec)
         if spec.is_weighted():
+            fs = _check_filter_shape(spec)  # the blob sizes come from it
             for key in ("weight_file", "bias_file", "sha256_weight", "sha256_bias"):
                 if not entry.get(key):
                     raise ValidationError(f"layer {spec.id}: manifest lacks {key}")
-            kcount, bcount = _expected_counts(spec)
             kernel = _read_blob(
-                directory, entry["weight_file"], entry["sha256_weight"], kcount, spec.id, "weight"
-            ).reshape(spec.filter_shape)
+                directory, entry["weight_file"], entry["sha256_weight"], math.prod(fs),
+                spec.id, "weight"
+            ).reshape(fs)
             bias = _read_blob(
-                directory, entry["bias_file"], entry["sha256_bias"], bcount, spec.id, "bias"
+                directory, entry["bias_file"], entry["sha256_bias"], fs[-1], spec.id, "bias"
             )
             weights[spec.id] = (kernel, bias)
 

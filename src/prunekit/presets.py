@@ -10,14 +10,10 @@ from .model import LayerSpec, ModelGraph
 def blank_graph(layers: list[LayerSpec], input_shape: tuple[int, int, int],
                 num_classes: int) -> ModelGraph:
     """Graph with zero weights of the declared shapes; init or load over it."""
-    weights = {}
-    for layer in layers:
-        if layer.kind == "conv2d":
-            kh, kw, cin, cout = layer.filter_shape
-            weights[layer.id] = (np.zeros((kh, kw, cin, cout)), np.zeros(cout))
-        elif layer.kind == "fully-connected":
-            fin, fout = layer.filter_shape
-            weights[layer.id] = (np.zeros((fin, fout)), np.zeros(fout))
+    weights = {
+        layer.id: (np.zeros(layer.filter_shape), np.zeros(layer.filter_shape[-1]))
+        for layer in layers if layer.is_weighted()
+    }
     return ModelGraph(layers=list(layers), weights=weights,
                       input_shape=input_shape, num_classes=num_classes)
 

@@ -164,31 +164,30 @@ def _channel_edits(g: ModelGraph, plan: SparsityPlan
     return edits
 
 
-def _l1_ranking(kernel: np.ndarray, kind: str, n: int) -> np.ndarray:
-    scores = np.abs(kernel).sum(axis=(0, 1, 2) if kind == "conv2d" else 0)
+def _l1_ranking(kernel: np.ndarray, n: int) -> np.ndarray:
+    scores = np.abs(kernel).sum(axis=tuple(range(kernel.ndim - 1)))
     order = np.argsort(scores, kind="stable")  # ties: lower channel index first
     return np.sort(order[:n])
 
 
 def _prune_channels(g: ModelGraph, plan: SparsityPlan,
-                    choose: Callable[[LayerSpec, np.ndarray, int], np.ndarray],
+                    choose: Callable[[np.ndarray, int], np.ndarray],
                     method: PruneMethod) -> PruneResult:
     validate_graph(g)
     new_weights: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     removed = np.empty(0, dtype=np.intp)  # output channels the producer lost
     for layer, n, flat in _channel_edits(g, plan):
-        in_axis, out_axis = (2, 3) if layer.kind == "conv2d" else (0, 1)
         if flat is not None:  # flattened rows are (i * w + j) * c + channel
             rows = np.arange(math.prod(flat))
             removed = rows[np.isin(rows % flat[2], removed)]
         kernel, bias = g.weights[layer.id]
-        kernel = np.delete(kernel, removed, axis=in_axis)
+        kernel = np.delete(kernel, removed, axis=-2)  # input channels
         if n >= kernel.shape[-1]:
             raise ValidationError(
                 f"layer {layer.id}: cannot remove {n} of {kernel.shape[-1]} channels"
             )
-        removed = choose(layer, kernel, n) if n else np.empty(0, dtype=np.intp)
-        new_weights[layer.id] = (np.delete(kernel, removed, axis=out_axis),
+        removed = choose(kernel, n) if n else np.empty(0, dtype=np.intp)
+        new_weights[layer.id] = (np.delete(kernel, removed, axis=-1),
                                  np.delete(bias, removed))
 
     new_layers = [replace(layer, filter_shape=new_weights[layer.id][0].shape)
@@ -210,18 +209,14 @@ def _prune_channels(g: ModelGraph, plan: SparsityPlan,
 
 def prune_channels_l1(g: ModelGraph, plan: SparsityPlan) -> PruneResult:
     """Remove the output channels with the smallest absolute kernel sums."""
-
-    def choose(layer: LayerSpec, kernel: np.ndarray, n: int) -> np.ndarray:
-        return _l1_ranking(kernel, layer.kind, n)
-
-    return _prune_channels(g, plan, choose, PruneMethod("channel-l1"))
+    return _prune_channels(g, plan, _l1_ranking, PruneMethod("channel-l1"))
 
 
 def prune_channels_random(g: ModelGraph, plan: SparsityPlan, seed: int) -> PruneResult:
     """Remove a seeded uniform random subset of output channels per layer."""
     rng = np.random.default_rng(seed)
 
-    def choose(layer: LayerSpec, kernel: np.ndarray, n: int) -> np.ndarray:
+    def choose(kernel: np.ndarray, n: int) -> np.ndarray:
         return np.sort(rng.choice(kernel.shape[-1], size=n, replace=False))
 
     return _prune_channels(g, plan, choose, PruneMethod("channel-random", seed=seed))
@@ -254,14 +249,11 @@ def achieved_remaining(g: ModelGraph, plan: SparsityPlan, method: PruneMethod | 
     total = 0
     gone = 0  # output channels the producer lost
     for layer, n, flat in _channel_edits(g, plan):
-        if layer.kind == "conv2d":
-            kh, kw, cin, cout = layer.filter_shape
-            fan_in, per_channel = kh * kw * cin, kh * kw
-        else:
-            fan_in, cout = layer.filter_shape
-            per_channel = flat[0] * flat[1] if flat is not None else 1
-        kept = cout - n
-        total += (fan_in - gone * per_channel) * kept + kept
+        fan_in = math.prod(layer.filter_shape[:-1])
+        c_in = flat[2] if flat is not None else layer.filter_shape[-2]
+        kept = layer.filter_shape[-1] - n
+        # each lost input channel held fan_in // c_in weights of every output channel
+        total += (fan_in - gone * (fan_in // c_in)) * kept + kept
         gone = n
     return total
 

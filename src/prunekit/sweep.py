@@ -23,7 +23,7 @@ from .data import Dataset
 from .engine import TrainConfig, evaluate, finetune
 from .errors import PrunekitError, ValidationError
 from .model import ModelGraph, layer_param_count
-from .pruning import PruneMethod, calibrate_strength, prune
+from .pruning import METHOD_KINDS, PruneMethod, calibrate_strength, prune
 
 CSV_COLUMNS = [
     "method",
@@ -52,8 +52,6 @@ class SweepSpec:
     seeds: tuple[int, ...] = (0,)
     ft_epochs: int = 3
     ft_learning_rate: float = 1e-4
-    ft_momentum: float = 0.9
-    ft_batch_size: int = 32
     floor_multiplier: int = 3
 
     def validate(self) -> None:
@@ -66,7 +64,7 @@ class SweepSpec:
         if self.baseline not in ("uniform", "layerwise", "both"):
             raise ValidationError(f"unknown baseline {self.baseline!r}")
         for m in self.methods:
-            if m not in ("weight-magnitude", "channel-l1", "channel-random"):
+            if m not in METHOD_KINDS:
                 raise ValidationError(f"unknown method {m!r}")
         if self.trials < 1:
             raise ValidationError("trials must be >= 1")
@@ -156,10 +154,7 @@ def _run_cell(g, eval_data, ft_data, spec, allocate, s, method_kind, mode) -> li
                                   seed=seed, status="ok"))
             if spec.finetune:
                 cfg = TrainConfig(epochs=spec.ft_epochs,
-                                  learning_rate=spec.ft_learning_rate,
-                                  momentum=spec.ft_momentum,
-                                  batch_size=spec.ft_batch_size,
-                                  seed=seed)
+                                  learning_rate=spec.ft_learning_rate, seed=seed)
                 tuned = finetune(result.model, result.masks, ft_data, cfg)
                 ft_acc = evaluate(tuned, eval_data)
                 accs["p+ft"].append(ft_acc)

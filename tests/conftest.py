@@ -1,8 +1,10 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from prunekit.data import Dataset
 from prunekit.engine import init_weights
@@ -47,6 +49,45 @@ def conv_chain(widths=(6, 8), fc_out=(10, 4), input_shape=(8, 8, 3), seed=11,
                   prunable=False),
     ]
     return init_weights(blank_graph(layers, input_shape, fc_out[1]), seed)
+
+
+@st.composite
+def random_chains(draw):
+    """A random valid chain and a plan sparsity for 1-4 of its layers.
+
+    The chain is (conv [pool])* -> flatten -> fc+, with 0-3 convs of kernel
+    1-4 per side (even sizes included), same or valid padding and an
+    optional 2x2 pool, and at least two fcs when there is no conv. The last
+    fc produces the classes and is never pruned.
+    """
+    h, w, c = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
+    input_shape = (h, w, c)
+    layers = []
+    n_conv = draw(st.integers(0, 3))
+    for i in range(n_conv):
+        kh, kw, cout = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
+        valid = kh <= h and kw <= w and draw(st.booleans())
+        layers.append(LayerSpec(f"c{i}", "conv2d", (kh, kw, c, cout),
+                                padding="valid" if valid else "same", activation="relu"))
+        if valid:
+            h, w = h - kh + 1, w - kw + 1
+        c = cout
+        if h % 2 == 0 and w % 2 == 0 and draw(st.booleans()):
+            layers.append(LayerSpec(f"p{i}", "maxpool", (2, 2)))
+            h, w = h // 2, w // 2
+    layers.append(LayerSpec("fl", "flatten"))
+    fin = h * w * c
+    n_fc = draw(st.integers(1 if n_conv else 2, 3))
+    for i in range(n_fc):
+        fout = draw(st.integers(1, 6))
+        layers.append(LayerSpec(f"f{i}", "fully-connected", (fin, fout),
+                                activation="softmax" if i == n_fc - 1 else "relu"))
+        fin = fout
+    candidates = [layer.id for layer in layers if layer.is_weighted()][:-1]
+    chosen = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4, unique=True))
+    layers = [replace(layer, prunable=layer.id in chosen) for layer in layers]
+    g = init_weights(blank_graph(layers, input_shape, fin), draw(st.integers(0, 2**16)))
+    return g, {lid: draw(st.floats(0.0, 0.99)) for lid in chosen}
 
 
 def poison_weight_blob(manifest_path, layer_id):

@@ -9,7 +9,8 @@ import pytest
 from conftest import conv_chain, poison_weight_blob
 from prunekit.cli import main
 from prunekit.data import save_dataset, synthetic_textures
-from prunekit.model import save_model
+from prunekit.errors import ValidationError
+from prunekit.model import load_model, save_model
 from prunekit.serialize import read_json
 
 
@@ -71,6 +72,25 @@ def test_non_finite_weight_blob_exits_2(workdir, capsys):
     assert code == 2
     assert "error: layer c2 kernel: contains non-finite" in err
 
+
+
+@pytest.mark.parametrize("filter_shape", [None, "absent", [3, 3, 3]],
+                         ids=["null", "absent", "three-entries"])
+def test_malformed_filter_shape_exits_2(workdir, capsys, filter_shape):
+    path = workdir / "model.json"
+    manifest = json.loads(path.read_text())
+    entry = next(e for e in manifest["layers"] if e["id"] == "c1")
+    if filter_shape == "absent":
+        del entry["filter_shape"]
+    else:
+        entry["filter_shape"] = filter_shape
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValidationError, match="c1: conv2d needs a filter_shape of 4"):
+        load_model(path)
+    code, _, err = run(["allocate", "--model", path, "--uniform", "--target", 0.5,
+                        "--out", workdir / "plan.json"], capsys)
+    assert code == 2
+    assert "error: layer c1: conv2d needs a filter_shape of 4" in err
 
 def test_missing_model_exits_4(workdir, capsys):
     code, _, err = run(["eval", "--model", workdir / "nope.json",

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import conv_chain, fc_graph, separable_dataset, tiny_dataset
+from conftest import conv_chain, fc_graph, random_chains, separable_dataset, tiny_dataset
 from prunekit.data import Dataset
 from prunekit.engine import (
     TrainConfig,
@@ -181,6 +183,35 @@ def test_gradient_check_conv_fc():
         analytic = grads[lid][which].reshape(-1)[i]
         rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-10)
         assert rel <= 1e-4
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(random_chains(), st.integers(0, 2**16))
+def test_gradients_match_central_differences_on_random_chains(chain, seed):
+    """loss_and_grads against central differences on chains with even
+    kernels, valid padding, pools and fc -> fc, 3 coordinates per tensor."""
+    g, _ = chain
+    rng = np.random.default_rng(seed)
+    # positive biases keep units off the ReLU kink, where the loss has no derivative
+    for _, bias in g.weights.values():
+        bias[:] = rng.uniform(0.05, 0.2, bias.shape)
+    xb = rng.uniform(0, 1, (4, *g.input_shape))
+    yb = rng.integers(0, g.num_classes, 4)
+    _, grads = loss_and_grads(g, xb, yb)
+    h = 1e-6
+    for lid, tensors in g.weights.items():
+        for which, arr in enumerate(tensors):
+            flat = arr.reshape(-1)
+            for i in rng.choice(flat.size, size=min(3, flat.size), replace=False):
+                orig = flat[i]
+                flat[i] = orig + h
+                lp, _ = loss_and_grads(g, xb, yb)
+                flat[i] = orig - h
+                lm, _ = loss_and_grads(g, xb, yb)
+                flat[i] = orig
+                numeric = (lp - lm) / (2 * h)
+                analytic = grads[lid][which].reshape(-1)[i]
+                assert abs(analytic - numeric) <= 1e-8 + 1e-4 * max(abs(analytic), abs(numeric))
 
 
 def test_train_separable_reaches_95():

@@ -16,7 +16,7 @@ from prunekit.model import (
     save_model,
     validate_graph,
 )
-from prunekit.presets import blank_graph, table1_chain
+from prunekit.presets import blank_graph, desk_chain, table1_chain
 
 
 def test_table1_chain_shapes():
@@ -34,6 +34,15 @@ def test_table1_chain_shapes():
         (10,),
     ]
 
+
+
+@pytest.mark.parametrize("make, expected", [
+    (desk_chain, "aee0461d5c449edc3d1c7302af3e56d873791ec71d5eac675e148e452a0835ab"),
+    (table1_chain, "668c1386a6273a142481498ba0aea8ac8df166e7e0f2f68d1a247832b2d442ce"),
+], ids=["desk", "table1"])
+def test_preset_initialization_is_pinned(make, expected):
+    """The seeded init draws of both presets, structure and weight bytes."""
+    assert graph_checksum(make(seed=0)) == expected
 
 def test_table1_chain_param_counts():
     g = table1_chain(seed=0)

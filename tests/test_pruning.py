@@ -1,11 +1,8 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from conftest import conv_chain, fc_graph
+from conftest import conv_chain, fc_graph, random_chains
 from prunekit.allocator import solve_allocation, uniform_plan
 from prunekit.capacity import profile_from_capacities
 from prunekit.engine import forward, init_weights
@@ -288,45 +285,6 @@ def test_dry_run_matches_execution_channel():
     dry = achieved_remaining(g, plan, "channel-l1")
     wet = prune_channels_l1(g, plan)
     assert dry == wet.remaining_total == count_params(wet.model)[1]
-
-
-@st.composite
-def random_chains(draw):
-    """A random valid chain and a plan sparsity for 1-4 of its layers.
-
-    The chain is (conv [pool])* -> flatten -> fc+, with 0-3 convs of kernel
-    1-4 per side (even sizes included), same or valid padding and an
-    optional 2x2 pool, and at least two fcs when there is no conv. The last
-    fc produces the classes and is never pruned.
-    """
-    h, w, c = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(1, 3))
-    input_shape = (h, w, c)
-    layers = []
-    n_conv = draw(st.integers(0, 3))
-    for i in range(n_conv):
-        kh, kw, cout = draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 5))
-        valid = kh <= h and kw <= w and draw(st.booleans())
-        layers.append(LayerSpec(f"c{i}", "conv2d", (kh, kw, c, cout),
-                                padding="valid" if valid else "same", activation="relu"))
-        if valid:
-            h, w = h - kh + 1, w - kw + 1
-        c = cout
-        if h % 2 == 0 and w % 2 == 0 and draw(st.booleans()):
-            layers.append(LayerSpec(f"p{i}", "maxpool", (2, 2)))
-            h, w = h // 2, w // 2
-    layers.append(LayerSpec("fl", "flatten"))
-    fin = h * w * c
-    n_fc = draw(st.integers(1 if n_conv else 2, 3))
-    for i in range(n_fc):
-        fout = draw(st.integers(1, 6))
-        layers.append(LayerSpec(f"f{i}", "fully-connected", (fin, fout),
-                                activation="softmax" if i == n_fc - 1 else "relu"))
-        fin = fout
-    candidates = [layer.id for layer in layers if layer.is_weighted()][:-1]
-    chosen = draw(st.lists(st.sampled_from(candidates), min_size=1, max_size=4, unique=True))
-    layers = [replace(layer, prunable=layer.id in chosen) for layer in layers]
-    g = init_weights(blank_graph(layers, input_shape, fin), draw(st.integers(0, 2**16)))
-    return g, {lid: draw(st.floats(0.0, 0.99)) for lid in chosen}
 
 
 @settings(max_examples=200, deadline=None)
