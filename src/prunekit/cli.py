@@ -107,27 +107,28 @@ def cmd_capacity(args) -> int:
 
 def cmd_allocate(args) -> int:
     g = load_model(args.model)
+    model_sha256 = graph_checksum(g)
     if args.uniform:
         ids = g.prunable_ids()
         if not ids:
             raise ValidationError("model has no prunable layers")
         plan = uniform_plan(ids, [layer_param_count(g.spec(lid)) for lid in ids],
                             args.target)
-        plan.provenance = {"model_sha256": graph_checksum(g)}
+        plan.provenance = {"model_sha256": model_sha256}
     else:
         if not args.capacity:
             raise ValidationError("--capacity is required unless --uniform is given")
         profile = load_report(args.capacity)
-        if profile.model_sha256 and profile.model_sha256 != graph_checksum(g):
+        if profile.model_sha256 and profile.model_sha256 != model_sha256:
             raise ValidationError(
                 "capacity report was computed for a different model "
-                f"({profile.model_sha256[:12]}... vs {graph_checksum(g)[:12]}...)"
+                f"({profile.model_sha256[:12]}... vs {model_sha256[:12]}...)"
             )
         plan = solve_allocation(
             allocation_input(g, profile, args.target, args.floor_multiplier)
         )
         plan.provenance = {
-            "model_sha256": graph_checksum(g),
+            "model_sha256": model_sha256,
             "capacity_sha256": object_sha256(profile_to_dict(profile)),
         }
     save_plan(plan, args.out)

@@ -255,8 +255,8 @@ def graph_checksum(g: ModelGraph) -> str:
     for layer in g.layers:
         if layer.is_weighted():
             kernel, bias = g.weights[layer.id]
-            h.update(_le_bytes(kernel))
-            h.update(_le_bytes(bias))
+            h.update(np.ascontiguousarray(kernel, dtype="<f8"))  # buffer protocol, no copy
+            h.update(np.ascontiguousarray(bias, dtype="<f8"))
     return h.hexdigest()
 
 

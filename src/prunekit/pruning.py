@@ -8,7 +8,12 @@ the chain yields, per weighted layer, the output channels it loses and the
 shape a flatten unrolls before it; the prune deletes along that walk and
 the symbolic dry run counts along it, reading shapes only. So the count the
 target-strength calibration loop iterates on is the count the prune leaves.
-Weight-magnitude pruning and its dry run share the one k = round(s_l * |K|).
+
+Weight-magnitude zeroes the k = round-half-away(s_l * |K|) smallest |w| of
+each kernel, ties to the lower flat index, and its dry run counts the same k;
+channel-l1 removes the floor(s_l * c_out) output channels with the smallest
+L1 sums, ties to the lower channel. Both select in linear time through one
+helper.
 """
 from __future__ import annotations
 
@@ -88,11 +93,28 @@ def _weights_to_zero(plan: SparsityPlan, layer: LayerSpec) -> int:
     return int(math.floor(plan.sparsity_for(layer.id) * math.prod(layer.filter_shape) + 0.5))
 
 
-def prune_weights_magnitude(g: ModelGraph, plan: SparsityPlan) -> PruneResult:
-    """Zero the smallest-magnitude kernel weights per layer; biases untouched.
+def _smallest(scores: np.ndarray, k: int) -> np.ndarray:
+    """Boolean mask of the k smallest entries of the 1-D ``scores``, ties to
+    the lower index (the first k of a stable sort by score), in linear time.
 
-    Ties are broken toward the lower flat index. Keep-masks are returned so
-    fine-tuning can hold pruned positions at zero.
+    One selection (Hoare's FIND, as introselect in ``np.partition``) gives the
+    k-th smallest value; every entry below it goes, then the entries equal to
+    it in ascending index until k are gone.
+    """
+    if k == 0:
+        return np.zeros(scores.size, dtype=bool)
+    kth = np.partition(scores, k - 1)[k - 1]
+    drop = scores < kth
+    ties = np.flatnonzero(scores == kth)
+    drop[ties[:k - np.count_nonzero(drop)]] = True
+    return drop
+
+
+def prune_weights_magnitude(g: ModelGraph, plan: SparsityPlan) -> PruneResult:
+    """Zero the k = round-half-away(s_l * |K|) smallest |w| of each planned
+    kernel, ties to the lower flat index, selected in linear time; biases
+    untouched. Keep-masks are returned so fine-tuning can hold pruned
+    positions at zero.
     """
     validate_graph(g)
     plan_ids = _plan_ids_checked(g, plan)
@@ -107,13 +129,9 @@ def prune_weights_magnitude(g: ModelGraph, plan: SparsityPlan) -> PruneResult:
             remaining[layer.id] = kernel.size + bias.size
             continue
         k = _weights_to_zero(plan, layer)
-        flat = kernel.reshape(-1).copy()
-        order = np.argsort(np.abs(flat), kind="stable")
-        mask = np.ones(flat.size, dtype=bool)
-        mask[order[:k]] = False
-        flat[~mask] = 0.0
-        out.weights[layer.id] = (flat.reshape(kernel.shape), bias.copy())
-        masks[layer.id] = mask.reshape(kernel.shape)
+        drop = _smallest(np.abs(kernel).reshape(-1), k).reshape(kernel.shape)
+        out.weights[layer.id] = (np.where(drop, 0.0, kernel), bias.copy())
+        masks[layer.id] = ~drop
         remaining[layer.id] = int(kernel.size - k + bias.size)
     total = sum(remaining.values())
     n_orig = count_params(g)[1]
@@ -165,9 +183,10 @@ def _channel_edits(g: ModelGraph, plan: SparsityPlan
 
 
 def _l1_ranking(kernel: np.ndarray, n: int) -> np.ndarray:
+    """The n output channels with the smallest L1 sums, ties to the lower
+    channel, in ascending order."""
     scores = np.abs(kernel).sum(axis=tuple(range(kernel.ndim - 1)))
-    order = np.argsort(scores, kind="stable")  # ties: lower channel index first
-    return np.sort(order[:n])
+    return np.flatnonzero(_smallest(scores, n))
 
 
 def _prune_channels(g: ModelGraph, plan: SparsityPlan,

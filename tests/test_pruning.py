@@ -1,6 +1,9 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import conv_chain, fc_graph, random_chains
 from prunekit.allocator import solve_allocation, uniform_plan
@@ -8,9 +11,11 @@ from prunekit.capacity import profile_from_capacities
 from prunekit.engine import forward, init_weights
 from prunekit.errors import ValidationError
 from prunekit.model import LayerSpec, ModelGraph, count_params, validate_graph
-from prunekit.presets import blank_graph
+from prunekit.presets import blank_graph, table1_chain
 from prunekit.pruning import (
     PruneMethod,
+    _l1_ranking,
+    _smallest,
     achieved_remaining,
     calibrate_strength,
     channels_to_prune,
@@ -149,6 +154,51 @@ def test_l1_tie_breaks_low_channel_index():
     plan = plan_for(g, {"c1": 1 / 3})
     result = prune_channels_l1(g, plan)
     assert np.array_equal(result.model.weights["c1"][0][0, 0, 0], [-2.0, 2.0])
+
+
+def stable_smallest(scores, k):
+    """The reference: the first k of a stable argsort."""
+    return np.sort(np.argsort(scores, kind="stable")[:k])
+
+
+# integers in -3..3 with -0.0 and 0.0 mixed in, or one value repeated
+TIE_VALUES = [-3.0, -2.0, -1.0, -0.0, 0.0, 1.0, 2.0, 3.0]
+tie_heavy = st.one_of(
+    st.lists(st.sampled_from(TIE_VALUES), min_size=1, max_size=300),
+    st.builds(lambda v, n: [v] * n, st.sampled_from(TIE_VALUES), st.integers(1, 300)),
+).map(np.array)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(tie_heavy, st.data())
+def test_selection_matches_stable_argsort(values, data):
+    n = values.size
+    k = data.draw(st.integers(0, n), label="k")
+    assert np.array_equal(np.flatnonzero(_smallest(values, k)), stable_smallest(values, k))
+
+    # the weight mask: zeroed positions are the first k of a stable argsort of |w|
+    g = fc_prunable(values.reshape(1, n))
+    result = prune_weights_magnitude(g, plan_for(g, {"fc": k / n}))
+    dropped = np.flatnonzero(~result.masks["fc"].reshape(-1))
+    assert np.array_equal(dropped, stable_smallest(np.abs(values), k))
+    assert np.array_equal(result.model.weights["fc"][0].reshape(-1),
+                          np.where(result.masks["fc"].reshape(-1), values, 0.0))
+
+    # the channel ranking: L1 sums over every axis but the last
+    kernel = np.stack([values, np.roll(values, 1)])
+    assert np.array_equal(_l1_ranking(kernel, k),
+                          stable_smallest(np.abs(kernel).sum(axis=0), k))
+
+
+def test_table1_weight_masks_are_pinned():
+    """Weight-magnitude at uniform s = 0.5 on table1, FC1's 2,097,152 weights
+    included; the digest was computed with a stable argsort selection."""
+    g = table1_chain(seed=0)
+    result = prune_weights_magnitude(g, plan_for(g, {lid: 0.5 for lid in g.prunable_ids()}))
+    assert list(result.masks) == ["Conv2", "Conv3", "Conv4", "FC1"]
+    packed = b"".join(np.packbits(m.reshape(-1)).tobytes() for m in result.masks.values())
+    assert hashlib.sha256(packed).hexdigest() == (
+        "b2b8cc095163df9499db2375ad974ef35da8c6f3907da7cae057e8d1c99820a3")
 
 
 def test_conv_to_conv_propagation_delta():
