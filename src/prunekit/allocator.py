@@ -3,9 +3,12 @@
 The ideal allocation keeps ``alpha * omega_l`` parameters in each layer,
 with alpha chosen so the total matches the budget. When per-layer floors or
 capacities make that point infeasible, the smallest squared perturbation of
-the proportionality constant is found by bisecting a single multiplier:
-each coordinate is a clip of ``lambda * alpha * omega_l`` to its box, and
-the budget mismatch is monotone in lambda.
+the proportionality constant is found through a single multiplier: each
+coordinate is a clip of ``lambda * alpha * omega_l`` to its box, so the
+budget is a nondecreasing, piecewise-linear function of lambda. Evaluating
+it at its 2L kinks and interpolating on the segment that holds the budget
+gives lambda exactly (the breakpoint search for the continuous quadratic
+knapsack; Brucker 1984, Kiwiel 2008).
 """
 from __future__ import annotations
 
@@ -20,7 +23,6 @@ from .model import ModelGraph, layer_param_count
 from .serialize import object_sha256, read_json, write_json
 
 BUDGET_RTOL = 1e-6
-_MAX_BISECT = 200
 
 
 @dataclass
@@ -132,6 +134,7 @@ def check_feasible(inp: AllocationInput) -> bool:
 def solve_allocation(inp: AllocationInput) -> SparsityPlan:
     """Minimize the summed squared perturbations subject to the per-layer box
     and the exact budget; unique solution whenever the floors fit the budget.
+    The plan's ``iterations`` is the number of kinks searched, 2L.
     """
     if not check_feasible(inp):
         raise InfeasibleAllocationError(
@@ -145,36 +148,12 @@ def solve_allocation(inp: AllocationInput) -> SparsityPlan:
     hi = inp.params / a - 1.0
     target = (1.0 - s) * total - a.sum()
 
-    def gap(lam: float) -> float:
-        return float((a * np.clip(lam * a, lo, hi)).sum()) - target
-
-    lam_lo = float((lo / a).min())
-    lam_hi = float((hi / a).max())
-    span = max(lam_hi - lam_lo, 1.0)
-    for _ in range(64):  # safety: rounding can nudge the analytic bracket
-        if gap(lam_lo) <= 0.0:
-            break
-        lam_lo -= span
-        span *= 2.0
-    span = max(lam_hi - lam_lo, 1.0)
-    for _ in range(64):
-        if gap(lam_hi) >= 0.0:
-            break
-        lam_hi += span
-        span *= 2.0
-
-    iterations = 0
-    for _ in range(_MAX_BISECT):
-        mid = 0.5 * (lam_lo + lam_hi)
-        if mid <= lam_lo or mid >= lam_hi:
-            break  # bracket is one ulp wide
-        iterations += 1
-        if gap(mid) < 0.0:
-            lam_lo = mid
-        else:
-            lam_hi = mid
-
-    lam = 0.5 * (lam_lo + lam_hi)
+    # the budget g(lam) = sum a * clip(lam * a, lo, hi) is nondecreasing and
+    # linear between its kinks at lo / a and hi / a, so the multiplier is the
+    # exact crossing on the segment that holds the target
+    kinks = np.sort(np.concatenate([lo / a, hi / a]))
+    g_at_kinks = (a * np.clip(np.outer(kinks, a), lo, hi)).sum(axis=1)
+    lam = float(np.interp(target, g_at_kinks, kinks))
     eps = np.clip(lam * a, lo, hi)
     # snap float dust back inside the box so sparsities land exactly in [0, 1)
     remaining = np.minimum(np.maximum(a * (1.0 + eps), inp.floors), inp.params)
@@ -203,7 +182,7 @@ def solve_allocation(inp: AllocationInput) -> SparsityPlan:
         alpha=alpha,
         layers=rows,
         achieved_total_remaining=float(remaining.sum()),
-        iterations=iterations,
+        iterations=len(kinks),
         residual=residual,
     )
 

@@ -45,6 +45,7 @@ from .model import (
 from .serialize import read_json, sha256_hex
 
 METHOD_KINDS = ("weight-magnitude", "channel-l1", "channel-random")
+CALIBRATE_STEPS = 60  # bisection steps on the strength; 2**-60 is far below a channel
 
 
 @dataclass
@@ -290,7 +291,6 @@ def calibrate_strength(
     s: float,
     allocate: Callable[[float], SparsityPlan],
     method: PruneMethod | str,
-    iterations: int = 60,
 ) -> Calibration:
     """Find the largest strength in [0, s] whose dry-run remaining count still
     meets the budget implied by s.
@@ -316,7 +316,7 @@ def calibrate_strength(
     if lo_c < target:
         raise NumericalError("even zero pruning strength undershoots the budget")
     hi = float(s)
-    for _ in range(iterations):
+    for _ in range(CALIBRATE_STEPS):
         mid = 0.5 * (lo + hi)
         c_mid = achieved_remaining(g, allocate(mid), kind)
         if c_mid >= target:

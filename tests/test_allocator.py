@@ -32,6 +32,22 @@ def random_instance(rng, n_layers=None, s=None):
     return AllocationInput(ids, params, omegas, floors, s)
 
 
+def edge_instances():
+    """Boundary inputs for the oracle comparisons: duplicate kinks, s = 0 and
+    floors that use up the whole budget."""
+    return [
+        # floor equal to size: both kinks of layer c coincide
+        AllocationInput(["a", "b", "c"], [100, 300, 50], [3.0, 1.0, 2.0], [0, 0, 50], 0.3),
+        # identical layers share both kinks
+        AllocationInput(["a", "b", "c"], [100, 100, 300], [1.0, 1.0, 5.0], [5, 5, 0], 0.6),
+        AllocationInput(["a", "b", "c"], [100, 300, 50], [3.0, 1.0, 2.0], [0, 0, 0], 0.0),
+        AllocationInput(["a", "b", "c"], [100, 300, 50], [3.0, 1.0, 2.0], [10, 30, 5], 0.0),
+        # floors sum exactly to the budget: 200, then 180
+        AllocationInput(["a", "b"], [100, 300], [1.0, 4.0], [80, 120], 0.5),
+        AllocationInput(["a", "b", "c"], [100, 300, 50], [3.0, 1.0, 2.0], [60, 70, 50], 0.6),
+    ]
+
+
 def grid_oracle(inp, stages=10, points=2001):
     """Independent minimizer: dense multiplier grid, refined around the
     budget crossing; resolution far beyond one part in 1e6."""
@@ -146,6 +162,37 @@ def test_solver_kkt_fixture_against_elimination_grid():
     assert plan.layers[1].epsilon == pytest.approx(e1[best], abs=1e-6)
 
 
+def test_solver_exact_zero_multiplier():
+    # the ideal split fits every box, so the multiplier is exactly 0
+    plan = solve_allocation(AllocationInput(["a", "b", "c"], [100] * 3, [1.0] * 3,
+                                            [0] * 3, 0.37))
+    for row in plan.layers:
+        assert row.epsilon == 0.0
+        assert row.sparsity == 0.37
+
+
+def test_solver_kkt_random():
+    # one multiplier: eps_l = lam * a_l off the box, lam * a_l beyond the
+    # clipped bound on it
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        inp = random_instance(rng)
+        plan = solve_allocation(inp)
+        a = plan.alpha * inp.omegas
+        lo = inp.floors / a - 1.0
+        hi = inp.params / a - 1.0
+        eps = np.array([r.epsilon for r in plan.layers])
+        at_lo, at_hi = eps <= lo, eps >= hi
+        free = ~(at_lo | at_hi)
+        # the budget lies strictly between floors and sizes, so a layer is free
+        assert free.any()
+        lams = eps[free] / a[free]
+        assert lams.max() - lams.min() <= 1e-9 * np.abs(lams).max()
+        lam = float(np.median(lams))
+        assert np.all(lam * a[at_lo] <= lo[at_lo] + 1e-9 * np.abs(lo[at_lo]))
+        assert np.all(lam * a[at_hi] >= hi[at_hi] - 1e-9 * np.abs(hi[at_hi]))
+
+
 def test_single_layer_forced_to_target():
     plan = solve_allocation(AllocationInput(["x"], [1000], [3.7], [10], 0.42))
     assert plan.layers[0].sparsity == pytest.approx(0.42, abs=1e-12)
@@ -235,8 +282,7 @@ def test_monotone_remaining_in_target():
 
 def test_solver_matches_dykstra_projection():
     rng = np.random.default_rng(4)
-    for _ in range(25):
-        inp = random_instance(rng)
+    for inp in [*(random_instance(rng) for _ in range(25)), *edge_instances()]:
         plan = solve_allocation(inp)
         oracle = dykstra_oracle(inp)
         got = np.array([r.epsilon for r in plan.layers])
@@ -245,8 +291,7 @@ def test_solver_matches_dykstra_projection():
 
 def test_solver_matches_grid_oracle():
     rng = np.random.default_rng(5)
-    for _ in range(100):
-        inp = random_instance(rng)
+    for inp in [*(random_instance(rng) for _ in range(100)), *edge_instances()]:
         plan = solve_allocation(inp)
         oracle = grid_oracle(inp)
         got = np.array([r.epsilon for r in plan.layers])
