@@ -155,8 +155,9 @@ def solve_allocation(inp: AllocationInput) -> SparsityPlan:
     g_at_kinks = (a * np.clip(np.outer(kinks, a), lo, hi)).sum(axis=1)
     lam = float(np.interp(target, g_at_kinks, kinks))
     eps = np.clip(lam * a, lo, hi)
-    # snap float dust back inside the box so sparsities land exactly in [0, 1)
-    remaining = np.minimum(np.maximum(a * (1.0 + eps), inp.floors), inp.params)
+    # clipped layers keep exactly their size or floor; free ones snap into the box
+    remaining = np.select([lam * a >= hi, lam * a <= lo], [inp.params, inp.floors],
+                          np.minimum(np.maximum(a * (1.0 + eps), inp.floors), inp.params))
     residual = float(remaining.sum() - (1.0 - s) * total)
     if abs(residual) > BUDGET_RTOL * total:
         raise NumericalError(

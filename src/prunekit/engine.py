@@ -2,12 +2,12 @@
 
 Conv and fully-connected layers share one path. A conv is lowered by im2col
 to the matrix of its (kh, kw, c_in) input patches and is then an fc over
-them: the product with the kernel as a (fan_in, c_out) matrix, the bias,
-activation, capture and the weight, bias and input gradients are the same
-code for both kinds. Only the lowering before the product and the col2im
-scatter of patch gradients back onto the input are the conv's own. The
-capture path records, per sample, the norm of a layer's input and of its
-bias-free pre-activation response, which is all the capacity probe needs.
+them; only the lowering is the conv's own. Its input gradient reuses the
+lowering: it is a conv of the upstream gradient, padded by kernel size - 1
+minus the forward padding on each side, with the kernel flipped and its
+channels swapped. The capture path records, per sample, the norm of a
+layer's input and of its bias-free pre-activation response, which is all
+the capacity probe needs.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .data import Dataset
 from .errors import NumericalError, ValidationError
-from .model import ModelGraph, clone_graph, validate_graph
+from .model import LayerSpec, ModelGraph, clone_graph, validate_graph
 
 CaptureTrace = dict[str, tuple[np.ndarray, np.ndarray]]
 
@@ -62,51 +62,34 @@ def init_weights(g: ModelGraph, seed: int) -> ModelGraph:
     return out
 
 
-def _softmax(z: np.ndarray) -> np.ndarray:
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+def _pads(layer: LayerSpec) -> tuple[int, int, int, int]:
+    """(top, bottom, left, right) zero rows and columns around a conv's input;
+    "same" gives top and left the smaller half when the kernel is even."""
+    if layer.padding == "valid":
+        return 0, 0, 0, 0
+    kh, kw = layer.filter_shape[:2]
+    top, left = (kh - 1) // 2, (kw - 1) // 2
+    return top, kh - 1 - top, left, kw - 1 - left
 
 
-def _pad_same(x: np.ndarray, kh: int, kw: int) -> np.ndarray:
-    pt, pl = (kh - 1) // 2, (kw - 1) // 2
-    pb, pr = kh - 1 - pt, kw - 1 - pl
-    if pt == pb == pl == pr == 0:
-        return x
-    return np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-
-
-def _conv_cols(x: np.ndarray, kh: int, kw: int, padding: str):
+def _conv_cols(x: np.ndarray, kh: int, kw: int, pads: tuple[int, int, int, int]):
     """im2col: rows are (kh, kw, c_in) patches in row-major tap order."""
-    n = x.shape[0]
-    xp = _pad_same(x, kh, kw) if padding == "same" else x
-    oh, ow = xp.shape[1] - kh + 1, xp.shape[2] - kw + 1
-    windows = sliding_window_view(xp, (kh, kw), axis=(1, 2))  # (n, oh, ow, c, kh, kw)
-    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, -1)
-    return np.ascontiguousarray(cols), oh, ow, xp.shape
-
-
-def _cols_to_input_grad(dcols: np.ndarray, padded_shape, kh: int, kw: int,
-                        orig_shape) -> np.ndarray:
-    """col2im: scatter-add patch gradients back onto the (unpadded) input."""
-    n, hp, wp, c = padded_shape
+    pt, pb, pl, pr = pads
+    if any(pads):
+        x = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    n, hp, wp, _ = x.shape
     oh, ow = hp - kh + 1, wp - kw + 1
-    d6 = dcols.reshape(n, oh, ow, kh, kw, c)
-    dxp = np.zeros(padded_shape)
-    for di in range(kh):
-        for dj in range(kw):
-            dxp[:, di:di + oh, dj:dj + ow, :] += d6[:, :, :, di, dj, :]
-    # "same" padding is asymmetric for even kernels: top/left get the smaller half
-    pt = (kh - 1) // 2 if hp != orig_shape[1] else 0
-    pl = (kw - 1) // 2 if wp != orig_shape[2] else 0
-    return dxp[:, pt:pt + orig_shape[1], pl:pl + orig_shape[2], :]
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (n, oh, ow, c, kh, kw)
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, -1)
+    return np.ascontiguousarray(cols), oh, ow
 
 
 def _apply_activation(a: np.ndarray, kind: str) -> np.ndarray:
     if kind == "relu":
         return np.maximum(a, 0.0)
     if kind == "softmax":
-        return _softmax(a)
+        e = np.exp(a - a.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
     return a
 
 
@@ -117,16 +100,14 @@ def _run(g: ModelGraph, x: np.ndarray, capture: frozenset[str] | set[str],
     trace: CaptureTrace = {}
     caches: list[dict] = []
     for layer in g.layers:
-        cache: dict = {"layer": layer}
+        cache: dict = {}
         if layer.is_weighted():
             kernel, bias = g.weights[layer.id]
             cout = layer.filter_shape[-1]
             if layer.kind == "conv2d":
                 kh, kw = layer.filter_shape[:2]
-                cols, oh, ow, padded_shape = _conv_cols(x, kh, kw, layer.padding)
+                cols, oh, ow = _conv_cols(x, kh, kw, _pads(layer))
                 out_shape: tuple[int, ...] = (n, oh, ow, cout)
-                if want_cache:
-                    cache.update(padded_shape=padded_shape, x_shape=x.shape)
             else:
                 cols, out_shape = x, (n, cout)
             z = (cols @ kernel.reshape(-1, cout)).reshape(out_shape)
@@ -141,14 +122,11 @@ def _run(g: ModelGraph, x: np.ndarray, capture: frozenset[str] | set[str],
             x = _apply_activation(pre, layer.activation)
         elif layer.kind == "maxpool":
             ph, pw = layer.filter_shape
-            nb, h, w, c = x.shape
-            xr = x.reshape(nb, h // ph, ph, w // pw, pw, c)
-            xt = xr.transpose(0, 1, 3, 5, 2, 4).reshape(nb, h // ph, w // pw, c, ph * pw)
-            idx = xt.argmax(axis=-1)
-            out = np.take_along_axis(xt, idx[..., None], axis=-1)[..., 0]
+            _, h, w, c = x.shape
+            xr = x.reshape(n, h // ph, ph, w // pw, pw, c)
+            x = xr.max(axis=(2, 4))
             if want_cache:
-                cache.update(idx=idx, x_shape=x.shape)
-            x = out
+                cache.update(xr=xr, out=x)
         else:  # flatten
             if want_cache:
                 cache.update(x_shape=x.shape)
@@ -189,13 +167,12 @@ def loss_and_grads(g: ModelGraph, batch: np.ndarray, labels: np.ndarray
         raise ValidationError("training requires a softmax final layer")
     n = batch.shape[0]
 
-    out, _, caches = _run(g, batch, frozenset(), want_cache=True)
+    probs, _, caches = _run(g, batch, frozenset(), want_cache=True)
     logits = caches[-1]["pre"]
     shifted = logits - logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
     loss = float(np.mean(logsumexp - logits[np.arange(n), labels]))
 
-    probs = _softmax(logits)
     probs[np.arange(n), labels] -= 1.0
     d = probs / n  # gradient w.r.t. the final pre-activation
 
@@ -218,18 +195,26 @@ def loss_and_grads(g: ModelGraph, batch: np.ndarray, labels: np.ndarray
             )
             if i == 0:
                 break  # no layer below needs the input gradient
-            d = d_flat @ kernel.reshape(-1, cout).T
             if layer.kind == "conv2d":
-                kh, kw = layer.filter_shape[:2]
-                d = _cols_to_input_grad(d, cache["padded_shape"], kh, kw, cache["x_shape"])
+                kh, kw, c_in = layer.filter_shape[:3]
+                pt, pb, pl, pr = _pads(layer)
+                dcols, h, w = _conv_cols(d, kh, kw,
+                                         (kh - 1 - pt, kh - 1 - pb, kw - 1 - pl, kw - 1 - pr))
+                flipped = kernel[::-1, ::-1].swapaxes(2, 3).reshape(-1, c_in)
+                d = (dcols @ flipped).reshape(n, h, w, c_in)
+            else:
+                d = d_flat @ kernel.T
         elif layer.kind == "maxpool":
-            ph, pw = layer.filter_shape
-            nb, h, w, c = cache["x_shape"]
-            idx = cache["idx"]
-            onehot = np.arange(ph * pw) == idx[..., None]
-            dxt = d[..., None] * onehot
-            d = dxt.reshape(nb, h // ph, w // pw, c, ph, pw).transpose(0, 1, 4, 2, 5, 3)
-            d = d.reshape(nb, h, w, c)
+            # a window's gradient goes to its first maximal tap in row-major order
+            xr, out = cache["xr"], cache["out"]
+            dx = np.zeros(xr.shape)
+            free = np.ones(out.shape, dtype=bool)
+            for di, dj in np.ndindex(*layer.filter_shape):
+                hit = free & (xr[:, :, di, :, dj, :] == out)
+                np.copyto(dx[:, :, di, :, dj, :], d, where=hit)
+                free &= ~hit
+            _, hh, ph, ww, pw, c = xr.shape
+            d = dx.reshape(n, hh * ph, ww * pw, c)
         else:  # flatten
             d = d.reshape(cache["x_shape"])
     return loss, grads

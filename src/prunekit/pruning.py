@@ -48,6 +48,10 @@ METHOD_KINDS = ("weight-magnitude", "channel-l1", "channel-random")
 CALIBRATE_STEPS = 60  # bisection steps on the strength; 2**-60 is far below a channel
 
 
+class RefusedPlanError(ValidationError):
+    """A plan that would remove every output channel of a layer."""
+
+
 @dataclass
 class PruneMethod:
     kind: str
@@ -161,7 +165,8 @@ def _channel_edits(g: ModelGraph, plan: SparsityPlan
     Returns ``(layer, n, flat)`` per weighted layer, in chain order: the n
     output channels the plan removes from it, and the ``(h, w, c)`` that a
     flatten unrolls between it and the weighted layer feeding it (None when
-    no flatten lies between them). Reads shapes only.
+    no flatten lies between them). Reads shapes only. The prune and its dry
+    run refuse a plan here, so they refuse the same plans.
     """
     shapes = graph_shapes(g)
     plan_ids = _plan_ids_checked(g, plan)
@@ -180,6 +185,11 @@ def _channel_edits(g: ModelGraph, plan: SparsityPlan
         raise ValidationError(
             f"layer {edits[-1][0].id}: channel pruning needs a downstream weighted layer"
         )
+    for layer, n, _ in edits:
+        if n >= layer.filter_shape[-1]:
+            raise RefusedPlanError(
+                f"layer {layer.id}: cannot remove {n} of {layer.filter_shape[-1]} channels"
+            )
     return edits
 
 
@@ -202,10 +212,6 @@ def _prune_channels(g: ModelGraph, plan: SparsityPlan,
             removed = rows[np.isin(rows % flat[2], removed)]
         kernel, bias = g.weights[layer.id]
         kernel = np.delete(kernel, removed, axis=-2)  # input channels
-        if n >= kernel.shape[-1]:
-            raise ValidationError(
-                f"layer {layer.id}: cannot remove {n} of {kernel.shape[-1]} channels"
-            )
         removed = choose(kernel, n) if n else np.empty(0, dtype=np.intp)
         new_weights[layer.id] = (np.delete(kernel, removed, axis=-1),
                                  np.delete(bias, removed))
@@ -298,7 +304,8 @@ def calibrate_strength(
     Channel pruning overshoots the requested sparsity, so the strength fed to
     it must be backed off; the remaining count is a nonincreasing step
     function of the strength, which bisection resolves to far below any
-    channel granule. The conservative (>= target) side is returned.
+    channel granule. The conservative (>= target) side is returned. A
+    strength whose plan the channel prune refuses counts as under target.
     """
     kind = method.kind if isinstance(method, PruneMethod) else str(method)
     n_total = count_params(g)[1]
@@ -309,7 +316,13 @@ def calibrate_strength(
         return Calibration(s_hat=float(s), achieved=achieved, target=target,
                            gap=abs(achieved - target))
 
-    achieved_s = achieved_remaining(g, plan_at_s, kind)
+    def dry_run(plan: SparsityPlan) -> int:
+        try:
+            return achieved_remaining(g, plan, kind)
+        except RefusedPlanError:
+            return -1  # below any target
+
+    achieved_s = dry_run(plan_at_s)
     if achieved_s >= target:
         return Calibration(float(s), achieved_s, target, abs(achieved_s - target))
     lo, lo_c = 0.0, n_total
@@ -318,7 +331,7 @@ def calibrate_strength(
     hi = float(s)
     for _ in range(CALIBRATE_STEPS):
         mid = 0.5 * (lo + hi)
-        c_mid = achieved_remaining(g, allocate(mid), kind)
+        c_mid = dry_run(allocate(mid))
         if c_mid >= target:
             lo, lo_c = mid, c_mid
         else:

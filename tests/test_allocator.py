@@ -193,6 +193,24 @@ def test_solver_kkt_random():
         assert np.all(lam * a[at_hi] >= hi[at_hi] - 1e-9 * np.abs(hi[at_hi]))
 
 
+def test_solver_clipped_layers_sit_exactly_on_the_box():
+    # a layer clipped at its size keeps all of it (s_l == 0.0, where
+    # a * (1 + hi) alone rounds to 49.999999999999986 of 50), and one clipped
+    # at its floor keeps exactly the floor
+    plan = solve_allocation(AllocationInput(["a", "b", "c"], [100, 300, 50], [3.0, 1.0, 2.0],
+                                            [0, 0, 0], 0.0))
+    assert [r.sparsity for r in plan.layers] == [0.0, 0.0, 0.0]
+    rng = np.random.default_rng(13)
+    for inp in [*(random_instance(rng) for _ in range(200)), *edge_instances()]:
+        plan = solve_allocation(inp)
+        a = plan.alpha * inp.omegas
+        for i, row in enumerate(plan.layers):
+            if row.epsilon >= inp.params[i] / a[i] - 1.0:
+                assert row.remaining == inp.params[i] and row.sparsity == 0.0
+            elif row.epsilon <= inp.floors[i] / a[i] - 1.0:
+                assert row.remaining == inp.floors[i]
+
+
 def test_single_layer_forced_to_target():
     plan = solve_allocation(AllocationInput(["x"], [1000], [3.7], [10], 0.42))
     assert plan.layers[0].sparsity == pytest.approx(0.42, abs=1e-12)

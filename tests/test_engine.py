@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from prunekit.engine import (
     train,
 )
 from prunekit.errors import NumericalError, ValidationError
-from prunekit.model import LayerSpec, validate_graph
+from prunekit.model import LayerSpec, ModelGraph, graph_shapes, validate_graph
 from prunekit.presets import blank_graph, table1_chain
 
 
@@ -42,6 +44,34 @@ def conv_matrix(kernel, in_shape, padding):
                             mat[(oi * ow + oj) * cout + co, (ii * w + jj) * cin + ci] += \
                                 kernel[di, dj, ci, co]
     return mat
+
+
+def reference_forward(g, x):
+    """Logits and (input, response) norms of every weighted layer, with each
+    conv as its conv_matrix and each pool as a plain per-window max."""
+    n = x.shape[0]
+    a, in_shape = x.reshape(n, -1), tuple(g.input_shape)
+    norms = {}
+    for layer, out_shape in zip(g.layers, graph_shapes(g)):
+        if layer.kind == "maxpool":
+            ph, pw = layer.filter_shape
+            a4 = a.reshape(n, *in_shape)
+            pooled = np.empty((n, *out_shape))
+            for i in range(out_shape[0]):
+                for j in range(out_shape[1]):
+                    pooled[:, i, j, :] = a4[:, i * ph:(i + 1) * ph, j * pw:(j + 1) * pw, :].max(
+                        axis=(1, 2))
+            a = pooled.reshape(n, -1)
+        elif layer.is_weighted():
+            kernel, bias = g.weights[layer.id]
+            mat = conv_matrix(kernel, in_shape, layer.padding) if layer.kind == "conv2d" \
+                else kernel.T
+            z = a @ mat.T
+            norms[layer.id] = (np.linalg.norm(a, axis=1), np.linalg.norm(z, axis=1))
+            pre = (z.reshape(n, -1, bias.size) + bias).reshape(n, -1)
+            a = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
+        in_shape = out_shape
+    return a, norms
 
 
 def test_softmax_outputs_sum_to_one():
@@ -118,6 +148,51 @@ def test_conv_matches_materialized_matrix(padding, hw):
     for i in range(3):
         expected = mat @ x[i].reshape(-1)
         assert np.allclose(out[i], expected, atol=1e-10)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(random_chains(), st.integers(0, 2**16))
+def test_forward_matches_reference_on_random_chains(chain, seed):
+    """Logits and capture norms against reference_forward on chains with even
+    kernels, valid padding, pools and none, within 1e-9 relative."""
+    g, _ = chain
+    rng = np.random.default_rng(seed)
+    for _, bias in g.weights.values():
+        bias[:] = rng.uniform(-0.1, 0.1, bias.shape)
+    # logits: the same chain with the final softmax left out
+    g = ModelGraph(g.layers[:-1] + [replace(g.layers[-1], activation="none")], g.weights,
+                   g.input_shape, g.num_classes)
+    x = rng.uniform(0, 1, (3, *g.input_shape))
+    logits, trace = forward(g, x, capture=set(g.weights))
+    ref_logits, ref_norms = reference_forward(g, x)
+
+    def close(a, b):
+        return np.abs(a - b).max() <= 1e-9 * np.abs(b).max()
+
+    assert close(logits, ref_logits)
+    for lid, (in_norms, out_norms) in trace.items():
+        assert close(in_norms, ref_norms[lid][0]) and close(out_norms, ref_norms[lid][1])
+
+
+def test_maxpool_tie_sends_gradient_to_first_maximal_tap():
+    """Three of four pixels sum to 0.5 under an all-ones 1x1 conv; the pool's
+    gradient must reach only the first of them in row-major order, pixel
+    (0, 1) = [0.4, 0.1], which the conv kernel gradient shows."""
+    layers = [
+        LayerSpec("c", "conv2d", (1, 1, 2, 1), padding="valid", activation="relu"),
+        LayerSpec("p", "maxpool", (2, 2)),
+        LayerSpec("fl", "flatten"),
+        LayerSpec("f", "fully-connected", (1, 2), activation="softmax"),
+    ]
+    g = blank_graph(layers, (2, 2, 2), 2)
+    g.weights["c"] = (np.ones((1, 1, 2, 1)), np.zeros(1))
+    g.weights["f"] = (np.array([[1.0, -1.0]]), np.zeros(2))
+    x = np.array([[[[0.1, 0.1], [0.4, 0.1]], [[0.2, 0.3], [0.05, 0.45]]]])
+    _, grads = loss_and_grads(g, x, np.array([1]))
+    # logits (0.5, -0.5), label 1: the pool output's gradient is 2 * sigmoid(1)
+    upstream = 2.0 / (1.0 + np.exp(-1.0))
+    assert np.allclose(grads["c"][0].reshape(-1), upstream * np.array([0.4, 0.1]), rtol=1e-12)
+    assert np.allclose(grads["c"][0].reshape(-1), [0.58484686, 0.14621172], rtol=1e-8)
 
 
 def test_evaluate_constant_logits_ties_to_class_zero():

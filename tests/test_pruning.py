@@ -14,6 +14,7 @@ from prunekit.model import LayerSpec, ModelGraph, count_params, validate_graph
 from prunekit.presets import blank_graph, table1_chain
 from prunekit.pruning import (
     PruneMethod,
+    RefusedPlanError,
     _l1_ranking,
     _smallest,
     achieved_remaining,
@@ -338,11 +339,20 @@ def test_dry_run_matches_execution_channel():
 
 
 @settings(max_examples=200, deadline=None)
-@given(random_chains())
-def test_dry_run_matches_execution_on_random_chains(chain):
+@given(random_chains(), st.booleans())
+def test_dry_run_matches_execution_on_random_chains(chain, whole_layer):
+    """With whole_layer, one planned layer gets s_l = 1: the weight prune
+    zeroes it, and the channel prune and its dry run must both refuse it."""
     g, sparsities = chain
+    if whole_layer:
+        sparsities[next(iter(sparsities))] = 1.0
     plan = plan_for(g, sparsities)
     for method in METHODS:
+        if method.is_channel and whole_layer:
+            for run in (prune, achieved_remaining):
+                with pytest.raises(RefusedPlanError, match="cannot remove"):
+                    run(g, plan, method)
+            continue
         result = prune(g, plan, method)
         if method.is_channel:
             executed = count_params(result.model)[1]
@@ -403,6 +413,23 @@ def test_calibrate_weight_method_is_identity():
     allocate = make_allocate(g, {"c2": 0.5, "f1": 0.9})
     cal = calibrate_strength(g, 0.5, allocate, "weight-magnitude")
     assert cal.s_hat == 0.5
+
+
+def test_calibrate_backs_off_from_a_refused_strength():
+    # from 0.99 up the plan removes all 8 channels of c2; at s = 0.995 that
+    # plan's dry count (222) would still meet the target (220.65)
+    g = conv_chain(seed=5)
+
+    def allocate(t):
+        return plan_for(g, {"c2": 1.0 if t >= 0.99 else t, "f1": 0.0})
+
+    with pytest.raises(RefusedPlanError):
+        achieved_remaining(g, allocate(0.995), "channel-l1")
+    cal = calibrate_strength(g, 0.995, allocate, "channel-l1")
+    assert cal.s_hat < 0.99
+    assert cal.achieved >= cal.target
+    result = prune(g, allocate(cal.s_hat), PruneMethod("channel-l1"))
+    assert result.remaining_total == cal.achieved
 
 
 def test_calibrate_channel_backs_off_and_scan_verifies():
