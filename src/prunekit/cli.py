@@ -47,6 +47,12 @@ EXIT_VALIDATION = 2
 EXIT_INFEASIBLE = 3
 EXIT_IO = 4
 EXIT_NUMERICAL = 5
+_EXIT_CODES = (  # first match wins
+    (InfeasibleAllocationError, EXIT_INFEASIBLE),
+    (NumericalError, EXIT_NUMERICAL),
+    (PrunekitError, EXIT_VALIDATION),
+    (OSError, EXIT_IO),
+)
 
 logger = logging.getLogger("prunekit")
 
@@ -305,21 +311,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InfeasibleAllocationError as exc:
+    except (PrunekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericalError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except PrunekitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
+from .serialize import write_atomic
 
 MAGIC = b"PKDS"
 
@@ -51,19 +52,20 @@ class Dataset:
 
 def save_dataset(d: Dataset, path) -> None:
     n, h, w, c = d.images.shape
-    with open(path, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<5I", n, h, w, c, d.num_classes))
-        fh.write(np.ascontiguousarray(d.images, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(d.labels, dtype="<u2").tobytes())
+    write_atomic(path, MAGIC, struct.pack("<5I", n, h, w, c, d.num_classes),
+                 np.ascontiguousarray(d.images, dtype="<f4"),
+                 np.ascontiguousarray(d.labels, dtype="<u2"))
 
 
 def load_dataset(path) -> Dataset:
     raw = Path(path).read_bytes()
     if raw[:4] != MAGIC:
         raise ValidationError(f"{path}: not a PKDS dataset file")
-    n, h, w, c, k = struct.unpack_from("<5I", raw, 4)
     header = 4 + 20
+    if len(raw) < header:
+        raise ValidationError(f"{path}: file holds {len(raw)} bytes, "
+                              f"shorter than the {header}-byte header")
+    n, h, w, c, k = struct.unpack_from("<5I", raw, 4)
     pixels = n * h * w * c
     expected = header + pixels * 4 + n * 2
     if len(raw) != expected:

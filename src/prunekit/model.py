@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ValidationError
-from .serialize import canonical_json_bytes, read_json, sha256_hex, write_json
+from .serialize import canonical_json_bytes, read_blob, read_json, write_blob, write_json
 from .tensors import validate_tensor
 
 KINDS = ("conv2d", "fully-connected", "maxpool", "flatten")
@@ -227,8 +227,21 @@ def clone_graph(g: ModelGraph) -> ModelGraph:
     )
 
 
-def _le_bytes(arr: np.ndarray) -> bytes:
-    return np.ascontiguousarray(arr, dtype="<f8").tobytes()
+def _layer_record(layer: LayerSpec) -> dict:
+    """The six structural keys of a layer, shared by graph_checksum's header
+    and the manifest entry."""
+    return {
+        "id": layer.id,
+        "kind": layer.kind,
+        "filter_shape": list(layer.filter_shape) if layer.filter_shape else None,
+        "padding": layer.padding,
+        "activation": layer.activation,
+        "prunable": layer.prunable,
+    }
+
+
+def _le_f8(arr: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(arr, dtype="<f8")
 
 
 def graph_checksum(g: ModelGraph) -> str:
@@ -238,25 +251,15 @@ def graph_checksum(g: ModelGraph) -> str:
     header = {
         "input_shape": list(g.input_shape),
         "num_classes": int(g.num_classes),
-        "layers": [
-            {
-                "id": l.id,
-                "kind": l.kind,
-                "filter_shape": list(l.filter_shape) if l.filter_shape else None,
-                "padding": l.padding,
-                "activation": l.activation,
-                "prunable": l.prunable,
-            }
-            for l in g.layers
-        ],
+        "layers": [_layer_record(l) for l in g.layers],
     }
     h = hashlib.sha256()
     h.update(canonical_json_bytes(header))
     for layer in g.layers:
         if layer.is_weighted():
             kernel, bias = g.weights[layer.id]
-            h.update(np.ascontiguousarray(kernel, dtype="<f8"))  # buffer protocol, no copy
-            h.update(np.ascontiguousarray(bias, dtype="<f8"))
+            h.update(_le_f8(kernel))  # buffer protocol, no copy
+            h.update(_le_f8(bias))
     return h.hexdigest()
 
 
@@ -265,28 +268,27 @@ def save_model(
     manifest_path,
     *,
     extra_top: dict | None = None,
-    layer_extras: dict[str, dict] | None = None,
+    masks: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """Write manifest JSON plus one raw blob per weight tensor.
+    """Write one raw blob per weight tensor and keep-mask, then the manifest.
 
     Round-trips bit-exactly: blobs are the little-endian float64 bytes of the
-    arrays and the manifest records their SHA-256.
+    arrays (masks: the bit-packed booleans) and the manifest records their
+    SHA-256. Blobs are named ``{stem}@{layer_id}_w.bin``, ``_b.bin`` and
+    ``_mask.bin``; a layer id holds no "@", so manifests can share a
+    directory without their blob names colliding.
     """
     validate_graph(g)
     manifest_path = Path(manifest_path)
     directory = manifest_path.parent
     directory.mkdir(parents=True, exist_ok=True)
-    stem = manifest_path.stem  # namespace blobs so manifests can share a directory
+    stem = manifest_path.stem
+    masks = masks or {}
 
     entries = []
     for layer in g.layers:
         entry = {
-            "id": layer.id,
-            "kind": layer.kind,
-            "filter_shape": list(layer.filter_shape) if layer.filter_shape else None,
-            "padding": layer.padding,
-            "activation": layer.activation,
-            "prunable": layer.prunable,
+            **_layer_record(layer),
             "weight_file": None,
             "bias_file": None,
             "sha256_weight": None,
@@ -294,18 +296,17 @@ def save_model(
         }
         if layer.is_weighted():
             kernel, bias = g.weights[layer.id]
-            wname, bname = f"{stem}_{layer.id}_w.bin", f"{stem}_{layer.id}_b.bin"
-            wbytes, bbytes = _le_bytes(kernel), _le_bytes(bias)
-            (directory / wname).write_bytes(wbytes)
-            (directory / bname).write_bytes(bbytes)
+            wname, bname = f"{stem}@{layer.id}_w.bin", f"{stem}@{layer.id}_b.bin"
             entry.update(
                 weight_file=wname,
                 bias_file=bname,
-                sha256_weight=sha256_hex(wbytes),
-                sha256_bias=sha256_hex(bbytes),
+                sha256_weight=write_blob(directory, wname, _le_f8(kernel)),
+                sha256_bias=write_blob(directory, bname, _le_f8(bias)),
             )
-        if layer_extras and layer.id in layer_extras:
-            entry.update(layer_extras[layer.id])
+        if layer.id in masks:
+            mname = f"{stem}@{layer.id}_mask.bin"
+            packed = np.packbits(masks[layer.id].reshape(-1))
+            entry.update(mask_file=mname, sha256_mask=write_blob(directory, mname, packed))
         entries.append(entry)
 
     manifest = {
@@ -318,42 +319,27 @@ def save_model(
     write_json(manifest, manifest_path)
 
 
-def _read_blob(directory: Path, fname: str, sha: str, count: int, layer_id: str, what: str) -> np.ndarray:
-    path = directory / fname
-    if not path.exists():
-        raise FileNotFoundError(f"layer {layer_id}: {what} blob {path} is missing")
-    raw = path.read_bytes()
-    if len(raw) != count * 8:
-        raise ValidationError(
-            f"layer {layer_id}: {what} blob holds {len(raw) // 8} values, expected {count}"
-        )
-    if sha256_hex(raw) != sha:
-        raise ValidationError(f"layer {layer_id}: {what} blob checksum mismatch")
-    return np.frombuffer(raw, dtype="<f8").astype(np.float64)
-
-
-def manifest_layers(manifest: dict) -> list[dict]:
-    layers = manifest.get("layers")
-    if not isinstance(layers, list) or not layers:
-        raise ValidationError("manifest has no layers")
-    return layers
-
-
 def load_model(manifest_path) -> ModelGraph:
     """Load and fully validate a model manifest plus its weight blobs."""
     manifest_path = Path(manifest_path)
-    manifest = read_json(manifest_path)
-    directory = manifest_path.parent
+    return graph_from_manifest(read_json(manifest_path), manifest_path.parent)
 
+
+def graph_from_manifest(manifest: dict, directory) -> ModelGraph:
+    """Build and fully validate the graph a decoded manifest describes,
+    reading its weight blobs from directory."""
     try:
         input_shape = tuple(int(e) for e in manifest["input_shape"])
         num_classes = int(manifest["num_classes"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValidationError(f"manifest missing input_shape/num_classes: {exc}") from exc
+    entries = manifest.get("layers")
+    if not isinstance(entries, list) or not entries:
+        raise ValidationError("manifest has no layers")
 
     layers: list[LayerSpec] = []
     weights: dict[str, tuple[np.ndarray, np.ndarray]] = {}
-    for entry in manifest_layers(manifest):
+    for entry in entries:
         try:
             spec = LayerSpec(
                 id=str(entry["id"]),
@@ -373,16 +359,15 @@ def load_model(manifest_path) -> ModelGraph:
             for key in ("weight_file", "bias_file", "sha256_weight", "sha256_bias"):
                 if not entry.get(key):
                     raise ValidationError(f"layer {spec.id}: manifest lacks {key}")
-            kernel = _read_blob(
-                directory, entry["weight_file"], entry["sha256_weight"], math.prod(fs),
-                spec.id, "weight"
-            ).reshape(fs)
-            bias = _read_blob(
-                directory, entry["bias_file"], entry["sha256_bias"], fs[-1], spec.id, "bias"
+            kernel = read_blob(directory, entry["weight_file"], entry["sha256_weight"],
+                               8 * math.prod(fs), f"layer {spec.id}: weight")
+            bias = read_blob(directory, entry["bias_file"], entry["sha256_bias"],
+                             8 * fs[-1], f"layer {spec.id}: bias")
+            weights[spec.id] = (
+                np.frombuffer(kernel, dtype="<f8").astype(np.float64).reshape(fs),
+                np.frombuffer(bias, dtype="<f8").astype(np.float64),
             )
-            weights[spec.id] = (kernel, bias)
 
     g = ModelGraph(layers=layers, weights=weights, input_shape=input_shape, num_classes=num_classes)
     validate_graph(g)
     return g
-

@@ -36,13 +36,12 @@ from .model import (
     LayerSpec,
     ModelGraph,
     count_params,
+    graph_from_manifest,
     graph_shapes,
-    load_model,
-    manifest_layers,
     save_model,
     validate_graph,
 )
-from .serialize import read_json, sha256_hex
+from .serialize import read_blob, read_json
 
 METHOD_KINDS = ("weight-magnitude", "channel-l1", "channel-random")
 CALIBRATE_STEPS = 60  # bisection steps on the strength; 2**-60 is far below a channel
@@ -355,15 +354,6 @@ def calibrate_s_hat(
 def save_prune_result(result: PruneResult, manifest_path) -> None:
     """Model manifest plus a provenance block; keep-masks ride along as
     bit-packed blobs referenced from the layer entries."""
-    manifest_path = Path(manifest_path)
-    directory = manifest_path.parent
-    directory.mkdir(parents=True, exist_ok=True)
-    layer_extras: dict[str, dict] = {}
-    for lid, mask in result.masks.items():
-        packed = np.packbits(mask.reshape(-1)).tobytes()
-        fname = f"{manifest_path.stem}_{lid}_mask.bin"
-        (directory / fname).write_bytes(packed)
-        layer_extras[lid] = {"mask_file": fname, "sha256_mask": sha256_hex(packed)}
     provenance = {
         "method": result.method.kind,
         "seed": result.method.seed,
@@ -372,24 +362,27 @@ def save_prune_result(result: PruneResult, manifest_path) -> None:
         "per_layer_counts": dict(result.remaining_per_layer),
     }
     save_model(result.model, manifest_path,
-               extra_top={"provenance": provenance}, layer_extras=layer_extras)
+               extra_top={"provenance": provenance}, masks=result.masks)
 
 
 def load_prune_result(manifest_path) -> tuple[ModelGraph, dict[str, np.ndarray], dict]:
     """Load a pruned-model manifest; works on plain model manifests too, in
     which case masks and provenance come back empty."""
-    manifest_path = Path(manifest_path)
-    g = load_model(manifest_path)
+    directory = Path(manifest_path).parent
     manifest = read_json(manifest_path)
+    g = graph_from_manifest(manifest, directory)
     masks: dict[str, np.ndarray] = {}
-    for entry in manifest_layers(manifest):
+    for layer, entry in zip(g.layers, manifest["layers"]):
         if not entry.get("mask_file"):
             continue
-        lid = str(entry["id"])
-        kernel, _ = g.weights[lid]
-        raw = (manifest_path.parent / entry["mask_file"]).read_bytes()
-        if entry.get("sha256_mask") != sha256_hex(raw):
-            raise ValidationError(f"layer {lid}: mask blob checksum mismatch")
+        if not layer.is_weighted():
+            raise ValidationError(f"layer {layer.id}: a {layer.kind} layer has no mask")
+        kernel, _ = g.weights[layer.id]
+        raw = read_blob(directory, entry["mask_file"], entry.get("sha256_mask"),
+                        -(-kernel.size // 8), f"layer {layer.id}: mask")
         bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=kernel.size)
-        masks[lid] = bits.astype(bool).reshape(kernel.shape)
-    return g, masks, dict(manifest.get("provenance", {}))
+        masks[layer.id] = bits.astype(bool).reshape(kernel.shape)
+    provenance = manifest.get("provenance", {})
+    if not isinstance(provenance, dict):
+        raise ValidationError("manifest provenance is not an object")
+    return g, masks, dict(provenance)

@@ -8,6 +8,7 @@ that fail record their error in the status column and the sweep moves on.
 from __future__ import annotations
 
 import csv
+import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .engine import TrainConfig, evaluate, finetune
 from .errors import PrunekitError, ValidationError
 from .model import ModelGraph, layer_param_count
 from .pruning import METHOD_KINDS, PruneMethod, calibrate_strength, prune
+from .serialize import write_atomic
 
 CSV_COLUMNS = [
     "method",
@@ -113,11 +115,12 @@ def run_sweep(
                 rows.extend(_run_cell(g, eval_data, ft_data, spec, allocate,
                                       s, method_kind, mode))
 
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_fmt(row.get(col)) for col in CSV_COLUMNS])
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    for row in rows:
+        writer.writerow([_fmt(row.get(col)) for col in CSV_COLUMNS])
+    write_atomic(csv_path, buf.getvalue().encode("utf-8"))
     return rows
 
 

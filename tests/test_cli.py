@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
@@ -5,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import conv_chain, poison_weight_blob
 from prunekit.cli import main
@@ -91,6 +95,22 @@ def test_malformed_filter_shape_exits_2(workdir, capsys, filter_shape):
                         "--out", workdir / "plan.json"], capsys)
     assert code == 2
     assert "error: layer c1: conv2d needs a filter_shape of 4" in err
+
+@pytest.mark.parametrize("case", ["cut-manifest", "short-pkds", "bad-blob-name"])
+def test_malformed_input_exits_2(workdir, capsys, case):
+    model, data = workdir / "model.json", workdir / "data.pkds"
+    if case == "cut-manifest":
+        model.write_bytes(model.read_bytes()[:40])
+    elif case == "short-pkds":
+        data.write_bytes(b"PKDS" + bytes(8))
+    else:
+        manifest = json.loads(model.read_text())
+        manifest["layers"][0]["weight_file"] = "../model.json"
+        model.write_text(json.dumps(manifest))
+    code, _, err = run(["eval", "--model", model, "--data", data], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+
 
 def test_missing_model_exits_4(workdir, capsys):
     code, _, err = run(["eval", "--model", workdir / "nope.json",
@@ -334,3 +354,60 @@ def test_threads_env_changes_nothing(workdir, capsys, monkeypatch):
     a = json.loads((workdir / "cap1.json").read_text())
     b = json.loads((workdir / "cap2.json").read_text())
     assert a["layers"] == b["layers"]
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A desk-style manifest, PKDS file, capacity report and plan that the
+    fuzz test mutates."""
+    d = tmp_path_factory.mktemp("fuzz")
+    save_model(conv_chain(seed=0, input_shape=(8, 8, 3), widths=(6, 8), fc_out=(10, 4)),
+               d / "model.json")
+    save_dataset(synthetic_textures(16, 8, 8, 3, num_classes=4, seed=2), d / "data.pkds")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["capacity", "--model", str(d / "model.json"), "--data", str(d / "data.pkds"),
+                     "--out", str(d / "cap.json")]) == 0
+        assert main(["allocate", "--model", str(d / "model.json"), "--capacity", str(d / "cap.json"),
+                     "--target", "0.5", "--floor-multiplier", "0",
+                     "--out", str(d / "plan.json")]) == 0
+    return d
+
+
+# artifact -> (file it mutates, command line given the directory d and the mutated copy x)
+FUZZ_COMMANDS = {
+    "manifest": ("model.json", lambda d, x: ["eval", "--model", x, "--data", d / "data.pkds"]),
+    "plan": ("plan.json", lambda d, x: ["prune", "--model", d / "model.json", "--plan", x,
+                                        "--method", "weight-magnitude", "--out", d / "out.json"]),
+    "report": ("cap.json", lambda d, x: ["allocate", "--model", d / "model.json",
+                                         "--capacity", x, "--target", 0.5,
+                                         "--out", d / "out.json"]),
+    "pkds": ("data.pkds", lambda d, x: ["eval", "--model", d / "model.json", "--data", x]),
+}
+
+
+@st.composite
+def byte_mutations(draw, raw: bytes) -> bytes:
+    """One to three byte flips, truncations or insertions of raw."""
+    data = bytearray(raw)
+    for _ in range(draw(st.integers(1, 3))):
+        op = draw(st.sampled_from(("flip", "truncate", "insert")))
+        i = draw(st.integers(0, max(len(data) - 1, 0)))
+        if op == "flip" and data:
+            data[i] ^= draw(st.integers(1, 255))
+        elif op == "truncate":
+            del data[i:]
+        else:
+            data.insert(i, draw(st.integers(0, 255)))
+    return bytes(data)
+
+
+@pytest.mark.parametrize("artifact", list(FUZZ_COMMANDS))
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_mutated_artifacts_exit_with_a_documented_code(fuzz_dir, artifact, data):
+    name, command = FUZZ_COMMANDS[artifact]
+    mutated = fuzz_dir / ("mutated" + Path(name).suffix)
+    mutated.write_bytes(data.draw(byte_mutations((fuzz_dir / name).read_bytes())))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main([str(a) for a in command(fuzz_dir, mutated)])
+    assert code in (0, 2, 3, 4, 5)

@@ -33,6 +33,13 @@ def test_truncated_rejected(tmp_path):
         load_dataset(path)
 
 
+def test_short_header_rejected(tmp_path):
+    path = tmp_path / "short.pkds"
+    path.write_bytes(b"PKDS" + bytes(8))
+    with pytest.raises(ValidationError, match="12 bytes, shorter than the 24-byte header"):
+        load_dataset(path)
+
+
 def test_labels_out_of_range_rejected():
     with pytest.raises(ValidationError):
         Dataset(np.zeros((2, 1, 1, 1)), np.array([0, 5]), num_classes=2)

@@ -134,11 +134,18 @@ def test_roundtrip_after_reshape(tmp_path):
     assert loaded.spec("f1").filter_shape == (h * w * 5, 10)
 
 
+def weight_blob(manifest_path, layer_id):
+    """Path of a saved layer's weight blob, as its manifest names it."""
+    manifest = json.loads(manifest_path.read_text())
+    return manifest_path.parent / next(
+        e["weight_file"] for e in manifest["layers"] if e["id"] == layer_id)
+
+
 def test_truncated_blob_names_layer(tmp_path):
     g = conv_chain(seed=3)
     path = tmp_path / "model.json"
     save_model(g, path)
-    blob = tmp_path / "model_c2_w.bin"
+    blob = weight_blob(path, "c2")
     blob.write_bytes(blob.read_bytes()[:-16])
     manifest = json.loads(path.read_text())
     for entry in manifest["layers"]:
@@ -155,7 +162,7 @@ def test_checksum_mismatch_names_layer(tmp_path):
     g = conv_chain(seed=3)
     path = tmp_path / "model.json"
     save_model(g, path)
-    blob = tmp_path / "model_f1_w.bin"
+    blob = weight_blob(path, "f1")
     raw = bytearray(blob.read_bytes())
     raw[0] ^= 0xFF
     blob.write_bytes(bytes(raw))
@@ -176,8 +183,55 @@ def test_missing_blob_is_io_error(tmp_path):
     g = conv_chain(seed=3)
     path = tmp_path / "model.json"
     save_model(g, path)
-    os.remove(tmp_path / "model_c1_w.bin")
+    os.remove(weight_blob(path, "c1"))
     with pytest.raises(FileNotFoundError, match="c1"):
+        load_model(path)
+
+
+def test_blob_names_do_not_collide_across_stems(tmp_path):
+    """Stem m with layer a_b and stem m_a with layer b once shared m_a_b_w.bin."""
+    def fc(layer_id, seed):
+        layers = [LayerSpec("fl", "flatten"),
+                  LayerSpec(layer_id, "fully-connected", (4, 2), activation="softmax")]
+        g = blank_graph(layers, (2, 2, 1), 2)
+        g.weights[layer_id] = (np.full((4, 2), float(seed)), np.zeros(2))
+        return g
+
+    first, second = fc("a_b", 1), fc("b", 2)
+    save_model(first, tmp_path / "m.json")
+    save_model(second, tmp_path / "m_a.json")
+    assert graph_checksum(load_model(tmp_path / "m.json")) == graph_checksum(first)
+    assert graph_checksum(load_model(tmp_path / "m_a.json")) == graph_checksum(second)
+
+
+def test_manifest_with_old_blob_names_loads(tmp_path):
+    """Blob names come from the manifest, so files saved as {stem}_{id}_w.bin
+    still load."""
+    g = conv_chain(seed=3)
+    path = tmp_path / "model.json"
+    save_model(g, path)
+    manifest = json.loads(path.read_text())
+    for entry in manifest["layers"]:
+        for key in ("weight_file", "bias_file"):
+            if entry[key]:
+                old = entry[key].replace("@", "_")
+                os.rename(tmp_path / entry[key], tmp_path / old)
+                entry[key] = old
+    path.write_text(json.dumps(manifest))
+    assert not any("@" in p.name for p in tmp_path.iterdir())
+    assert graph_checksum(load_model(path)) == graph_checksum(g)
+
+
+@pytest.mark.parametrize("name", [5, "../model@c1_w.bin", "sub/model@c1_w.bin"])
+def test_blob_name_outside_directory_rejected(tmp_path, name):
+    g = conv_chain(seed=3)
+    save_model(g, tmp_path / "model.json")
+    (tmp_path / "sub").mkdir()
+    path = tmp_path / "sub" / "model.json"
+    manifest = json.loads((tmp_path / "model.json").read_text())
+    next(e for e in manifest["layers"] if e["id"] == "c1")["weight_file"] = name
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValidationError, match="layer c1: weight blob name .* is not a file name"):
         load_model(path)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -500,6 +501,24 @@ def test_channel_result_manifest_roundtrip(tmp_path):
     assert masks == {}
     assert prov["seed"] == 9
     assert count_params(loaded)[1] == result.remaining_total
+
+
+def test_short_mask_blob_rejected(tmp_path):
+    """A mask blob must hold ceil(|K|/8) bytes; unpacking would zero-pad a
+    short one into a mask that prunes weights the prune kept."""
+    g = conv_chain(seed=5)
+    per, _ = count_params(g)
+    plan = uniform_plan(["c2", "f1"], [per["c2"], per["f1"]], 0.5)
+    path = tmp_path / "pruned.json"
+    save_prune_result(prune(g, plan, PruneMethod("weight-magnitude")), path)
+    manifest = json.loads(path.read_text())
+    entry = next(e for e in manifest["layers"] if e["id"] == "f1")
+    blob = tmp_path / entry["mask_file"]
+    blob.write_bytes(blob.read_bytes()[:-1])
+    entry["sha256_mask"] = hashlib.sha256(blob.read_bytes()).hexdigest()
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValidationError, match="layer f1: mask blob holds"):
+        load_prune_result(path)
 
 
 def test_method_seed_pairing_enforced():
