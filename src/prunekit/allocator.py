@@ -40,6 +40,9 @@ class AllocationInput:
         n = len(self.layer_ids)
         if n == 0:
             raise ValidationError("allocation needs at least one layer")
+        repeated = [lid for i, lid in enumerate(self.layer_ids) if lid in self.layer_ids[:i]]
+        if repeated:
+            raise ValidationError(f"layer {repeated[0]}: listed more than once")
         if not (len(self.params) == len(self.omegas) == len(self.floors) == n):
             raise ValidationError("allocation arrays differ in length")
         if np.any(self.params < 1):

@@ -108,6 +108,8 @@ def capacity_profile(
     """One calibration pass over the dataset, then per-layer capacity and
     importance. Zero-capacity layers are clamped to MU_FLOOR with a warning
     so they cannot soak up the whole budget."""
+    if batch_size < 1:
+        raise ValidationError(f"batch size must be >= 1, got {batch_size}")
     ids = list(prunable) if prunable is not None else g.prunable_ids()
     if not ids:
         raise ValidationError("no prunable layers to profile")

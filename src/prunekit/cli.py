@@ -184,18 +184,28 @@ def cmd_calibrate(args) -> int:
     return EXIT_OK
 
 
+def _comma_list(flag: str, raw: str, parse) -> list:
+    try:
+        return [parse(v) for v in raw.split(",")]
+    except ValueError:
+        raise ValidationError(
+            f"{flag}: cannot read {raw!r} as comma-separated {parse.__name__} values"
+        ) from None
+
+
 def cmd_sweep(args) -> int:
+    grid = _comma_list("--grid", args.grid, float)
+    trial_seeds = (
+        tuple(_comma_list("--trial-seeds", args.trial_seeds, int))
+        if args.trial_seeds
+        else tuple(args.seed + i for i in range(args.trials))
+    )
     g = load_model(args.model)
     data = load_dataset(args.data)
     eval_data = load_dataset(args.eval_data) if args.eval_data else data
     profile = capacity_profile(g, data, workers=worker_count())
-    trial_seeds = (
-        tuple(int(t) for t in args.trial_seeds.split(","))
-        if args.trial_seeds
-        else tuple(args.seed + i for i in range(args.trials))
-    )
     spec = SweepSpec(
-        grid=[float(v) for v in args.grid.split(",")],
+        grid=grid,
         baseline=args.baseline,
         methods=tuple(args.methods.split(",")),
         trials=args.trials,

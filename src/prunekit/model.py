@@ -195,10 +195,13 @@ def validate_graph(g: ModelGraph) -> list[tuple[int, ...]]:
     return shapes
 
 
+def filter_param_count(filter_shape: tuple[int, ...]) -> int:
+    """Kernel weights plus one bias per output channel of a weighted layer."""
+    return math.prod(filter_shape) + filter_shape[-1]
+
+
 def layer_param_count(layer: LayerSpec) -> int:
-    if not layer.is_weighted():
-        return 0
-    return math.prod(layer.filter_shape) + layer.filter_shape[-1]
+    return filter_param_count(layer.filter_shape) if layer.is_weighted() else 0
 
 
 def count_params(g: ModelGraph) -> tuple[dict[str, int], int]:

@@ -1,13 +1,14 @@
 """Weight and channel pruning under a sparsity plan, with exact bookkeeping.
 
-Channel pruning physically removes output channels and propagates each
-removal into the consumer's input slices (conv -> conv input channels,
-conv -> flatten -> fc rows at every spatial position, fc -> fc rows), so
-achieved counts always come from the real post-prune shapes. One walk of
-the chain yields, per weighted layer, the output channels it loses and the
-shape a flatten unrolls before it; the prune deletes along that walk and
-the symbolic dry run counts along it, reading shapes only. So the count the
-target-strength calibration loop iterates on is the count the prune leaves.
+One walk of the chain, reading shapes only, gives every count: per weighted
+layer, its filter shape after the prune, the weights zeroed or output
+channels removed, and the parameters kept. Channel pruning propagates each
+removed channel into the consumer's input slices (conv -> conv input
+channels, conv -> flatten -> fc rows at every spatial position, fc -> fc
+rows). The dry run sums the walk's counts; the prune acts along the same
+walk, and its shape check of the pruned graph turns any disagreement with
+the walk into an error. So the count the target-strength calibration loop
+iterates on is the count the prune leaves.
 
 Weight-magnitude zeroes the k = round-half-away(s_l * |K|) smallest |w| of
 each kernel, ties to the lower flat index, and its dry run counts the same k;
@@ -36,6 +37,7 @@ from .model import (
     LayerSpec,
     ModelGraph,
     count_params,
+    filter_param_count,
     graph_from_manifest,
     graph_shapes,
     save_model,
@@ -80,8 +82,12 @@ class PruneResult:
 
 def _plan_ids_checked(g: ModelGraph, plan: SparsityPlan) -> set[str]:
     prunable = set(g.prunable_ids())
+    seen: set[str] = set()
     for row in plan.layers:
         lid = row.layer_id
+        if lid in seen:
+            raise ValidationError(f"layer {lid}: listed more than once in the plan")
+        seen.add(lid)
         spec = g.spec(lid)  # raises on unknown id
         if not spec.is_weighted():
             raise ValidationError(f"layer {lid}: cannot prune a weightless layer")
@@ -89,12 +95,7 @@ def _plan_ids_checked(g: ModelGraph, plan: SparsityPlan) -> set[str]:
             raise ValidationError(f"layer {lid}: plan covers a non-prunable layer")
         if not 0.0 <= row.sparsity <= 1.0:  # NaN fails this too
             raise ValidationError(f"layer {lid}: plan sparsity {row.sparsity} is outside [0, 1]")
-    return set(plan.layer_ids())
-
-
-def _weights_to_zero(plan: SparsityPlan, layer: LayerSpec) -> int:
-    """k = round-half-away(s_l * |K|), the kernel weights weight-magnitude zeroes."""
-    return int(math.floor(plan.sparsity_for(layer.id) * math.prod(layer.filter_shape) + 0.5))
+    return seen
 
 
 def _smallest(scores: np.ndarray, k: int) -> np.ndarray:
@@ -114,77 +115,65 @@ def _smallest(scores: np.ndarray, k: int) -> np.ndarray:
     return drop
 
 
-def prune_weights_magnitude(g: ModelGraph, plan: SparsityPlan) -> PruneResult:
-    """Zero the k = round-half-away(s_l * |K|) smallest |w| of each planned
-    kernel, ties to the lower flat index, selected in linear time; biases
-    untouched. Keep-masks are returned so fine-tuning can hold pruned
-    positions at zero.
-    """
-    validate_graph(g)
-    plan_ids = _plan_ids_checked(g, plan)
-    out = ModelGraph(list(g.layers), dict(g.weights), g.input_shape, g.num_classes)
-    masks: dict[str, np.ndarray] = {}
-    remaining: dict[str, int] = {}
-    for layer in g.layers:
-        if not layer.is_weighted():
-            continue
-        kernel, bias = g.weights[layer.id]
-        if layer.id not in plan_ids:
-            remaining[layer.id] = kernel.size + bias.size
-            continue
-        k = _weights_to_zero(plan, layer)
-        drop = _smallest(np.abs(kernel).reshape(-1), k).reshape(kernel.shape)
-        out.weights[layer.id] = (np.where(drop, 0.0, kernel), bias.copy())
-        masks[layer.id] = ~drop
-        remaining[layer.id] = int(kernel.size - k + bias.size)
-    total = sum(remaining.values())
-    n_orig = count_params(g)[1]
-    return PruneResult(
-        model=out,
-        masks=masks,
-        remaining_per_layer=remaining,
-        remaining_total=total,
-        achieved_sparsity=1.0 - total / n_orig,
-        method=PruneMethod("weight-magnitude"),
-    )
+def _kind(method: PruneMethod | str) -> str:
+    return method.kind if isinstance(method, PruneMethod) else str(method)
 
 
 def channels_to_prune(plan: SparsityPlan, layer: LayerSpec) -> int:
     """floor(s_l * output channels) for conv, floor(s_l * output units) for fc."""
     if not layer.is_weighted():
         raise ValidationError(f"layer {layer.id}: has no channels to prune")
-    c_out = layer.filter_shape[-1]
-    return int(math.floor(plan.sparsity_for(layer.id) * c_out))
+    return int(math.floor(plan.sparsity_for(layer.id) * layer.filter_shape[-1]))
 
 
-def _channel_edits(g: ModelGraph, plan: SparsityPlan
-                   ) -> list[tuple[LayerSpec, int, tuple[int, ...] | None]]:
-    """The one walk of the chain behind both the channel prune and its dry run.
+def _edits(g: ModelGraph, plan: SparsityPlan, kind: str
+           ) -> list[tuple[LayerSpec, tuple[int, ...], int, int, tuple[int, ...] | None]]:
+    """The one walk of the chain behind every prune and every dry run.
 
-    Returns ``(layer, n, flat)`` per weighted layer, in chain order: the n
-    output channels the plan removes from it, and the ``(h, w, c)`` that a
+    Returns ``(layer, filter_shape, n, kept, flat)`` per weighted layer, in
+    chain order: the layer's filter shape after the prune; n, the kernel
+    weights weight-magnitude zeroes or the output channels a channel method
+    removes; the parameters the layer keeps; and the ``(h, w, c)`` that a
     flatten unrolls between it and the weighted layer feeding it (None when
     no flatten lies between them). Reads shapes only. The prune and its dry
     run refuse a plan here, so they refuse the same plans.
     """
+    if kind not in METHOD_KINDS:
+        raise ValidationError(f"unknown pruning method {kind!r}")
     shapes = graph_shapes(g)
     plan_ids = _plan_ids_checked(g, plan)
+    channel = kind != "weight-magnitude"
     edits = []
     in_shape: tuple[int, ...] = tuple(g.input_shape)
     flat = None
+    gone = 0  # output channels the producer lost
     for layer, out_shape in zip(g.layers, shapes):
         if layer.kind == "flatten":
             flat = in_shape
         elif layer.is_weighted():
-            edits.append((layer, channels_to_prune(plan, layer) if layer.id in plan_ids else 0,
-                          flat))
+            fs, n = layer.filter_shape, 0
+            if layer.id in plan_ids and channel:
+                n = channels_to_prune(plan, layer)
+            elif layer.id in plan_ids:  # k = round-half-away(s_l * |K|)
+                n = int(math.floor(plan.sparsity_for(layer.id) * math.prod(fs) + 0.5))
+            if channel:
+                # each lost input channel held h * w rows of a flattened input
+                per_channel = flat[0] * flat[1] if flat is not None else 1
+                fs = (*fs[:-2], fs[-2] - gone * per_channel, fs[-1] - n)
+                gone = n
+                kept = filter_param_count(fs)
+            else:
+                kept = filter_param_count(fs) - n
+            edits.append((layer, fs, n, kept, flat))
             flat = None
         in_shape = out_shape
-    if edits and edits[-1][1] > 0:
+    if not channel:
+        return edits
+    if edits and edits[-1][2] > 0:
         raise ValidationError(
             f"layer {edits[-1][0].id}: channel pruning needs a downstream weighted layer"
         )
-    for layer, n, _ in edits:
+    for layer, _, n, _, _ in edits:
         if n >= layer.filter_shape[-1]:
             raise RefusedPlanError(
                 f"layer {layer.id}: cannot remove {n} of {layer.filter_shape[-1]} channels"
@@ -193,94 +182,82 @@ def _channel_edits(g: ModelGraph, plan: SparsityPlan
 
 
 def _l1_ranking(kernel: np.ndarray, n: int) -> np.ndarray:
-    """The n output channels with the smallest L1 sums, ties to the lower
-    channel, in ascending order."""
-    scores = np.abs(kernel).sum(axis=tuple(range(kernel.ndim - 1)))
-    return np.flatnonzero(_smallest(scores, n))
+    """The n output channels with the smallest L1 sums, ties to the lower one."""
+    return np.flatnonzero(_smallest(np.abs(kernel).sum(axis=tuple(range(kernel.ndim - 1))), n))
 
 
-def _prune_channels(g: ModelGraph, plan: SparsityPlan,
-                    choose: Callable[[np.ndarray, int], np.ndarray],
-                    method: PruneMethod) -> PruneResult:
+def _prune(g: ModelGraph, plan: SparsityPlan, method: PruneMethod) -> PruneResult:
+    """Zero or delete along the walk, and report the walk's shapes and counts."""
     validate_graph(g)
-    new_weights: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    edits = _edits(g, plan, method.kind)
+    plan_ids = set(plan.layer_ids())  # checked by the walk
+    rng = np.random.default_rng(method.seed) if method.seed is not None else None
+    weights: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    masks: dict[str, np.ndarray] = {}
     removed = np.empty(0, dtype=np.intp)  # output channels the producer lost
-    for layer, n, flat in _channel_edits(g, plan):
-        if flat is not None:  # flattened rows are (i * w + j) * c + channel
-            rows = np.arange(math.prod(flat))
-            removed = rows[np.isin(rows % flat[2], removed)]
+    for layer, _, n, _, flat in edits:
         kernel, bias = g.weights[layer.id]
-        kernel = np.delete(kernel, removed, axis=-2)  # input channels
-        removed = choose(kernel, n) if n else np.empty(0, dtype=np.intp)
-        new_weights[layer.id] = (np.delete(kernel, removed, axis=-1),
-                                 np.delete(bias, removed))
+        if method.is_channel:
+            if flat is not None:  # flattened rows are (i * w + j) * c + channel
+                rows = np.arange(math.prod(flat))
+                removed = rows[np.isin(rows % flat[2], removed)]
+            kernel = np.delete(kernel, removed, axis=-2)  # input channels
+            if n == 0:
+                removed = np.empty(0, dtype=np.intp)
+            elif rng is not None:
+                removed = np.sort(rng.choice(kernel.shape[-1], size=n, replace=False))
+            else:
+                removed = _l1_ranking(kernel, n)
+            kernel, bias = np.delete(kernel, removed, axis=-1), np.delete(bias, removed)
+        elif layer.id in plan_ids:
+            drop = _smallest(np.abs(kernel).reshape(-1), n).reshape(kernel.shape)
+            kernel, bias = np.where(drop, 0.0, kernel), bias.copy()
+            masks[layer.id] = ~drop
+        weights[layer.id] = (kernel, bias)
 
-    new_layers = [replace(layer, filter_shape=new_weights[layer.id][0].shape)
-                  if layer.is_weighted() else layer for layer in g.layers]
-    out = ModelGraph(new_layers, new_weights, tuple(g.input_shape), g.num_classes)
-    graph_shapes(out)
-    per_layer, total = count_params(out)
-    per_layer = {lid: cnt for lid, cnt in per_layer.items() if out.spec(lid).is_weighted()}
-    n_orig = count_params(g)[1]
-    return PruneResult(
-        model=out,
-        masks={},
-        remaining_per_layer=per_layer,
-        remaining_total=total,
-        achieved_sparsity=1.0 - total / n_orig,
-        method=method,
-    )
+    new_shapes = {layer.id: fs for layer, fs, _, _, _ in edits}
+    layers = [replace(layer, filter_shape=new_shapes[layer.id]) if layer.is_weighted()
+              else layer for layer in g.layers]
+    out = ModelGraph(layers, weights, tuple(g.input_shape), g.num_classes)
+    graph_shapes(out)  # each kernel must have the shape the walk counted
+    remaining = {layer.id: kept for layer, _, _, kept, _ in edits}
+    total = sum(remaining.values())
+    return PruneResult(out, masks, remaining, total, 1.0 - total / count_params(g)[1], method)
+
+
+def prune_weights_magnitude(g: ModelGraph, plan: SparsityPlan) -> PruneResult:
+    """Zero the k = round-half-away(s_l * |K|) smallest |w| of each planned
+    kernel, ties to the lower flat index, selected in linear time; biases
+    untouched. Keep-masks are returned so fine-tuning can hold pruned
+    positions at zero.
+    """
+    return _prune(g, plan, PruneMethod("weight-magnitude"))
 
 
 def prune_channels_l1(g: ModelGraph, plan: SparsityPlan) -> PruneResult:
     """Remove the output channels with the smallest absolute kernel sums."""
-    return _prune_channels(g, plan, _l1_ranking, PruneMethod("channel-l1"))
+    return _prune(g, plan, PruneMethod("channel-l1"))
 
 
 def prune_channels_random(g: ModelGraph, plan: SparsityPlan, seed: int) -> PruneResult:
-    """Remove a seeded uniform random subset of output channels per layer."""
-    rng = np.random.default_rng(seed)
-
-    def choose(kernel: np.ndarray, n: int) -> np.ndarray:
-        return np.sort(rng.choice(kernel.shape[-1], size=n, replace=False))
-
-    return _prune_channels(g, plan, choose, PruneMethod("channel-random", seed=seed))
+    """Remove a seeded uniform random subset of output channels per layer,
+    drawn in chain order for the layers that lose any."""
+    return _prune(g, plan, PruneMethod("channel-random", seed=seed))
 
 
 def prune(g: ModelGraph, plan: SparsityPlan, method: PruneMethod,
           plan_sha256: str | None = None) -> PruneResult:
-    if method.kind == "weight-magnitude":
-        result = prune_weights_magnitude(g, plan)
-    elif method.kind == "channel-l1":
-        result = prune_channels_l1(g, plan)
-    else:
-        result = prune_channels_random(g, plan, method.seed)
+    result = _prune(g, plan, method)
     result.plan_sha256 = plan_sha256 if plan_sha256 is not None else plan_checksum(plan)
     return result
 
 
 def achieved_remaining(g: ModelGraph, plan: SparsityPlan, method: PruneMethod | str) -> int:
-    """Whole-model parameter count that the method would leave, from shapes
-    alone: no weight value is read or checked. For channel methods this includes the input slices
-    lost by successors, which is why channel pruning usually overshoots."""
-    kind = method.kind if isinstance(method, PruneMethod) else str(method)
-    if kind not in METHOD_KINDS:
-        raise ValidationError(f"unknown pruning method {kind!r}")
-    if kind == "weight-magnitude":
-        graph_shapes(g)
-        plan_ids = _plan_ids_checked(g, plan)
-        return count_params(g)[1] - sum(_weights_to_zero(plan, g.spec(lid)) for lid in plan_ids)
-
-    total = 0
-    gone = 0  # output channels the producer lost
-    for layer, n, flat in _channel_edits(g, plan):
-        fan_in = math.prod(layer.filter_shape[:-1])
-        c_in = flat[2] if flat is not None else layer.filter_shape[-2]
-        kept = layer.filter_shape[-1] - n
-        # each lost input channel held fan_in // c_in weights of every output channel
-        total += (fan_in - gone * (fan_in // c_in)) * kept + kept
-        gone = n
-    return total
+    """Whole-model parameter count that the method would leave: the sum of
+    the walk's kept counts, from shapes alone (no weight value is read or
+    checked). For channel methods this includes the input slices lost by
+    successors, which is why channel pruning usually overshoots."""
+    return sum(kept for _, _, _, kept, _ in _edits(g, plan, _kind(method)))
 
 
 @dataclass
@@ -306,7 +283,7 @@ def calibrate_strength(
     channel granule. The conservative (>= target) side is returned. A
     strength whose plan the channel prune refuses counts as under target.
     """
-    kind = method.kind if isinstance(method, PruneMethod) else str(method)
+    kind = _kind(method)
     n_total = count_params(g)[1]
     plan_at_s = allocate(s)  # validates feasibility at s
     target = n_total - s * plan_at_s.included_params()

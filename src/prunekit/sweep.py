@@ -127,13 +127,11 @@ def run_sweep(
 def _run_cell(g, eval_data, ft_data, spec, allocate, s, method_kind, mode) -> list[dict]:
     base = {"method": method_kind, "allocation": mode, "s": s}
     is_random = method_kind == "channel-random"
-    is_channel = method_kind.startswith("channel")
+    method = PruneMethod(method_kind, seed=spec.seeds[0] if is_random else None)
     trials = spec.trials if is_random else 1
     try:
-        if is_channel:
-            calibration = calibrate_strength(
-                g, s, lambda t: allocate(mode, t), method_kind
-            )
+        if method.is_channel:
+            calibration = calibrate_strength(g, s, lambda t: allocate(mode, t), method)
             s_hat = calibration.s_hat
         else:
             s_hat = s

@@ -259,6 +259,48 @@ def test_prune_malformed_plan_sparsity_exits_2(workdir, capsys, s_l, method):
     assert not (workdir / "pruned.json").exists()
 
 
+def test_allocate_repeated_report_layer_exits_2(workdir, capsys):
+    run(["capacity", "--model", workdir / "model.json",
+         "--data", workdir / "data.pkds", "--out", workdir / "cap.json"], capsys)
+    report = read_json(workdir / "cap.json")
+    report["layers"].append(dict(next(e for e in report["layers"] if e["id"] == "c2")))
+    (workdir / "cap.json").write_text(json.dumps(report))
+    code, _, err = run(["allocate", "--model", workdir / "model.json",
+                        "--capacity", workdir / "cap.json", "--target", 0.5,
+                        "--out", workdir / "plan.json", "--floor-multiplier", 0], capsys)
+    assert code == 2
+    assert err.startswith("error: layer c2: listed more than once")
+    assert not (workdir / "plan.json").exists()
+
+
+def test_prune_repeated_plan_layer_exits_2(workdir, capsys):
+    run(["allocate", "--model", workdir / "model.json", "--uniform",
+         "--target", 0.5, "--out", workdir / "plan.json"], capsys)
+    plan = read_json(workdir / "plan.json")
+    plan["layers"].append(dict(next(e for e in plan["layers"] if e["id"] == "c2"), s_l=0.9))
+    (workdir / "plan.json").write_text(json.dumps(plan))
+    code, _, err = run(["prune", "--model", workdir / "model.json",
+                        "--plan", workdir / "plan.json", "--method", "weight-magnitude",
+                        "--out", workdir / "pruned.json"], capsys)
+    assert code == 2
+    assert err.startswith("error: layer c2: listed more than once in the plan")
+    assert not (workdir / "pruned.json").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["capacity", "--batch-size", "0"],
+    ["capacity", "--batch-size", "-1"],
+    ["sweep", "--grid", "0.1,abc"],
+    ["sweep", "--grid", "0.1", "--trial-seeds", "x"],
+], ids=["batch-size-0", "batch-size-neg", "grid", "trial-seeds"])
+def test_malformed_numeric_flag_exits_2(workdir, capsys, argv):
+    code, _, err = run([*argv, "--model", workdir / "model.json",
+                        "--data", workdir / "data.pkds", "--out", workdir / "out"], capsys)
+    assert code == 2
+    assert err.startswith("error: ")
+    assert not (workdir / "out").exists()
+
+
 def test_plan_model_mismatch_rejected(workdir, capsys):
     run(["allocate", "--model", workdir / "model.json", "--uniform",
          "--target", 0.5, "--out", workdir / "plan.json"], capsys)

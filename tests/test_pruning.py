@@ -362,6 +362,13 @@ def test_dry_run_matches_execution_on_random_chains(chain, whole_layer):
                            for lid, (k, _) in result.model.weights.items())
             executed += sum(b.size for _, b in result.model.weights.values())
         assert achieved_remaining(g, plan, method) == executed == result.remaining_total
+        # per layer too, as written to a pruned manifest's per_layer_counts
+        assert list(result.remaining_per_layer) == list(result.model.weights)
+        for lid, (kernel, bias) in result.model.weights.items():
+            mask = result.masks.get(lid)
+            kept = kernel.size if mask is None else int(mask.sum())
+            assert result.remaining_per_layer[lid] == kept + bias.size
+        assert set(result.masks) == (set() if method.is_channel else set(sparsities))
 
 
 def test_channel_overshoots_plan():
