@@ -9,13 +9,12 @@ layer is protected during allocation.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import Dataset
-from .engine import CaptureTrace, forward
+from .engine import CaptureTrace, forward_batches
 from .errors import NumericalError, ValidationError
 from .model import ModelGraph, graph_checksum
 from .serialize import conventions, read_json, write_json
@@ -56,6 +55,18 @@ class CapacityProfile:
         return [entry.layer_id for entry in self.layers]
 
 
+def _retained(trace: CaptureTrace, layer_id: str) -> np.ndarray:
+    """Mask of the samples whose input norm reaches the zero guard."""
+    if layer_id not in trace:
+        raise ValidationError(f"layer {layer_id}: not present in capture trace")
+    retained = trace[layer_id][0] >= ZERO_INPUT_GUARD
+    if not retained.any():
+        raise NumericalError(
+            f"layer {layer_id}: every calibration sample has (near-)zero input norm"
+        )
+    return retained
+
+
 def layer_capacity(trace: CaptureTrace, layer_id: str, kernel_frobenius_norm: float) -> float:
     """Max over retained samples of response_norm / (kernel_norm * input_norm).
 
@@ -64,38 +75,10 @@ def layer_capacity(trace: CaptureTrace, layer_id: str, kernel_frobenius_norm: fl
     """
     if kernel_frobenius_norm <= 0.0:
         raise ValidationError(f"layer {layer_id}: kernel norm must be positive")
-    if layer_id not in trace:
-        raise ValidationError(f"layer {layer_id}: not present in capture trace")
+    retained = _retained(trace, layer_id)
     in_norms, out_norms = trace[layer_id]
-    retained = in_norms >= ZERO_INPUT_GUARD
-    if not retained.any():
-        raise NumericalError(
-            f"layer {layer_id}: every calibration sample has (near-)zero input norm"
-        )
     ratios = out_norms[retained] / (kernel_frobenius_norm * in_norms[retained])
     return float(ratios.max())
-
-
-def _collect_trace(g: ModelGraph, calib: Dataset, capture: set[str],
-                   batch_size: int, workers: int) -> CaptureTrace:
-    starts = list(range(0, len(calib), batch_size))
-
-    def run(start: int) -> CaptureTrace:
-        return forward(g, calib.images[start:start + batch_size], capture)[1]
-
-    if workers > 1 and len(starts) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(run, starts))
-    else:
-        chunks = [run(s) for s in starts]
-    # merge in chunk-index order so the trace is worker-count independent
-    return {
-        lid: (
-            np.concatenate([c[lid][0] for c in chunks]),
-            np.concatenate([c[lid][1] for c in chunks]),
-        )
-        for lid in capture
-    }
 
 
 def capacity_profile(
@@ -108,33 +91,16 @@ def capacity_profile(
     """One calibration pass over the dataset, then per-layer capacity and
     importance. Zero-capacity layers are clamped to MU_FLOOR with a warning
     so they cannot soak up the whole budget."""
-    if batch_size < 1:
-        raise ValidationError(f"batch size must be >= 1, got {batch_size}")
     ids = list(prunable) if prunable is not None else g.prunable_ids()
     if not ids:
         raise ValidationError("no prunable layers to profile")
-    for lid in ids:
-        if not g.spec(lid).is_weighted():
-            raise ValidationError(f"layer {lid}: cannot profile a weightless layer")
-
-    trace = _collect_trace(g, calib, set(ids), batch_size, workers)
+    _, trace = forward_batches(g, calib.images, batch_size, frozenset(ids), workers)
 
     entries: list[LayerCapacity] = []
     for lid in ids:
-        in_norms, _ = trace[lid]
-        retained = in_norms >= ZERO_INPUT_GUARD
-        used = int(retained.sum())
-        skipped = int(len(in_norms) - used)
-        kernel, _ = g.weights[lid]
-        kernel_norm = frobenius_norm(kernel)
-        if kernel_norm == 0.0:
-            if used == 0:
-                raise NumericalError(
-                    f"layer {lid}: every calibration sample has (near-)zero input norm"
-                )
-            mu_raw = 0.0
-        else:
-            mu_raw = layer_capacity(trace, lid, kernel_norm)
+        used = int(_retained(trace, lid).sum())
+        kernel_norm = frobenius_norm(g.weights[lid][0])
+        mu_raw = layer_capacity(trace, lid, kernel_norm) if kernel_norm > 0.0 else 0.0
         clamped = mu_raw < MU_FLOOR
         if clamped:
             logger.warning(
@@ -147,7 +113,7 @@ def capacity_profile(
                 mu=mu,
                 omega=1.0 / (mu * mu),
                 samples_used=used,
-                skipped_zero_norm=skipped,
+                skipped_zero_norm=len(calib) - used,
                 clamped=clamped,
             )
         )

@@ -200,10 +200,6 @@ def cmd_sweep(args) -> int:
         if args.trial_seeds
         else tuple(args.seed + i for i in range(args.trials))
     )
-    g = load_model(args.model)
-    data = load_dataset(args.data)
-    eval_data = load_dataset(args.eval_data) if args.eval_data else data
-    profile = capacity_profile(g, data, workers=worker_count())
     spec = SweepSpec(
         grid=grid,
         baseline=args.baseline,
@@ -215,6 +211,11 @@ def cmd_sweep(args) -> int:
         ft_learning_rate=args.ft_lr,
         floor_multiplier=args.floor_multiplier,
     )
+    spec.validate()
+    g = load_model(args.model)
+    data = load_dataset(args.data)
+    eval_data = load_dataset(args.eval_data) if args.eval_data else data
+    profile = capacity_profile(g, data, workers=worker_count())
     rows = run_sweep(g, profile, eval_data, spec, args.out, ft_data=data)
     failed = sum(1 for r in rows if r.get("status") != "ok")
     print(f"rows={len(rows)}")

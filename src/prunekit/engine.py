@@ -7,11 +7,13 @@ lowering: it is a conv of the upstream gradient, padded by kernel size - 1
 minus the forward padding on each side, with the kernel flipped and its
 channels swapped. The capture path records, per sample, the norm of a
 layer's input and of its bias-free pre-activation response, which is all
-the capacity probe needs.
+the capacity probe needs. forward_batches is the one loop that runs a
+dataset through the chain in row slices, for evaluation and the probe alike.
 """
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -135,13 +137,10 @@ def _run(g: ModelGraph, x: np.ndarray, capture: frozenset[str] | set[str],
     return x, trace, caches
 
 
-def forward(g: ModelGraph, batch: np.ndarray, capture: set[str] | frozenset[str] = frozenset()
-            ) -> tuple[np.ndarray, CaptureTrace]:
-    """Run the chain on a batch; optionally capture per-sample layer norms.
-
-    Captured entries are (input_norm, response_norm) arrays where the
-    response is the bias-free linear output of the layer, before activation.
-    """
+def _checked_input(g: ModelGraph, batch: np.ndarray, capture: set[str] | frozenset[str]
+                   ) -> np.ndarray:
+    """The batch as float64 rows of the model input; at least one row, and
+    captures of weighted layers only."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim == 3:
         batch = batch[None]
@@ -149,12 +148,52 @@ def forward(g: ModelGraph, batch: np.ndarray, capture: set[str] | frozenset[str]
         raise ValidationError(
             f"batch shape {batch.shape[1:]} does not match model input {tuple(g.input_shape)}"
         )
+    if len(batch) == 0:
+        raise ValidationError("batch has no samples")
     weighted = {l.id for l in g.layers if l.is_weighted()}
     unknown = set(capture) - weighted
     if unknown:
         raise ValidationError(f"capture requests non-weighted layers: {sorted(unknown)}")
-    out, trace, _ = _run(g, batch, capture, want_cache=False)
-    return out, trace
+    return batch
+
+
+def forward(g: ModelGraph, batch: np.ndarray, capture: set[str] | frozenset[str] = frozenset()
+            ) -> tuple[np.ndarray, CaptureTrace]:
+    """Run the chain on a batch; optionally capture per-sample layer norms.
+
+    Captured entries are (input_norm, response_norm) arrays where the
+    response is the bias-free linear output of the layer, before activation.
+    """
+    return _run(g, _checked_input(g, batch, capture), capture, want_cache=False)[:2]
+
+
+def forward_batches(g: ModelGraph, images: np.ndarray, batch_size: int,
+                    capture: set[str] | frozenset[str] = frozenset(), workers: int = 1
+                    ) -> tuple[np.ndarray, CaptureTrace]:
+    """forward over consecutive batch_size-row slices of images, joined in
+    slice order, so the result depends on batch_size but never on workers.
+
+    With workers > 1 a thread pool runs whole slices; each worker holds the
+    buffers of one slice at a time. Trace keys follow the chain order.
+    """
+    if batch_size < 1:
+        raise ValidationError(f"batch size must be >= 1, got {batch_size}")
+    images = _checked_input(g, images, capture)
+    slices = [images[start:start + batch_size] for start in range(0, len(images), batch_size)]
+
+    def run(x: np.ndarray) -> tuple[np.ndarray, CaptureTrace]:
+        return _run(g, x, capture, want_cache=False)[:2]
+
+    if workers > 1 and len(slices) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            parts = list(pool.map(run, slices))
+    else:
+        parts = [run(x) for x in slices]
+    outs, traces = zip(*parts)
+    return np.concatenate(outs), {
+        l.id: tuple(np.concatenate([t[l.id][i] for t in traces]) for i in (0, 1))
+        for l in g.layers if l.id in capture
+    }
 
 
 def loss_and_grads(g: ModelGraph, batch: np.ndarray, labels: np.ndarray
@@ -222,16 +261,8 @@ def loss_and_grads(g: ModelGraph, batch: np.ndarray, labels: np.ndarray
 
 def evaluate(g: ModelGraph, d: Dataset, batch_size: int = 256) -> float:
     """Fraction of samples whose argmax output matches the label."""
-    if d.sample_shape != tuple(g.input_shape):
-        raise ValidationError(
-            f"dataset sample shape {d.sample_shape} does not match model input "
-            f"{tuple(g.input_shape)}"
-        )
-    correct = 0
-    for start in range(0, len(d), batch_size):
-        out, _ = forward(g, d.images[start:start + batch_size])
-        correct += int(np.sum(out.argmax(axis=1) == d.labels[start:start + batch_size]))
-    return correct / len(d)
+    out, _ = forward_batches(g, d.images, batch_size)
+    return int(np.sum(out.argmax(axis=1) == d.labels)) / len(d)
 
 
 def _sgd(g: ModelGraph, d: Dataset, cfg: TrainConfig,

@@ -72,6 +72,13 @@ class SweepSpec:
             raise ValidationError("trials must be >= 1")
         if not self.seeds:
             raise ValidationError("at least one seed is required")
+        if self.floor_multiplier < 0:
+            raise ValidationError(f"floor_multiplier must be >= 0, got {self.floor_multiplier}")
+        if self.finetune:
+            self.finetune_config(self.seeds[0]).validate()
+
+    def finetune_config(self, seed: int) -> TrainConfig:
+        return TrainConfig(epochs=self.ft_epochs, learning_rate=self.ft_learning_rate, seed=seed)
 
     def allocations(self) -> tuple[str, ...]:
         if self.baseline == "both":
@@ -144,6 +151,7 @@ def _run_cell(g, eval_data, ft_data, spec, allocate, s, method_kind, mode) -> li
     accs: dict[str, list[float]] = {"p": [], "p+ft": []}
     for trial in range(trials):
         seed = spec.seeds[trial % len(spec.seeds)]
+        phase = "p"
         try:
             method = PruneMethod(method_kind, seed=seed if is_random else None)
             result = prune(g, plan, method)
@@ -154,9 +162,8 @@ def _run_cell(g, eval_data, ft_data, spec, allocate, s, method_kind, mode) -> li
                                   achieved_sparsity=result.achieved_sparsity,
                                   seed=seed, status="ok"))
             if spec.finetune:
-                cfg = TrainConfig(epochs=spec.ft_epochs,
-                                  learning_rate=spec.ft_learning_rate, seed=seed)
-                tuned = finetune(result.model, result.masks, ft_data, cfg)
+                phase = "p+ft"
+                tuned = finetune(result.model, result.masks, ft_data, spec.finetune_config(seed))
                 ft_acc = evaluate(tuned, eval_data)
                 accs["p+ft"].append(ft_acc)
                 cell_rows.append(dict(base, s_hat=s_hat, trial=trial, phase="p+ft",
@@ -164,7 +171,7 @@ def _run_cell(g, eval_data, ft_data, spec, allocate, s, method_kind, mode) -> li
                                       achieved_sparsity=result.achieved_sparsity,
                                       seed=seed, status="ok"))
         except PrunekitError as exc:
-            cell_rows.append(dict(base, s_hat=s_hat, trial=trial, phase="p",
+            cell_rows.append(dict(base, s_hat=s_hat, trial=trial, phase=phase,
                                   seed=seed, status=f"error: {exc}"))
 
     for row in cell_rows:

@@ -26,5 +26,9 @@ def validate_tensor(arr: np.ndarray, name: str = "tensor") -> np.ndarray:
 
 
 def frobenius_norm(t: np.ndarray) -> float:
-    """Square root of the sum of squared entries."""
-    return float(np.linalg.norm(np.ravel(t)))
+    """Square root of the sum of squared entries.
+
+    The sum is numpy's pairwise one, not a BLAS dot: OpenBLAS splits a long
+    dot across its threads, which moves the last bit with the thread count.
+    """
+    return float(np.sqrt(np.sum(np.square(np.ravel(t)))))

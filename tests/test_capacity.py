@@ -1,5 +1,9 @@
 import logging
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,32 @@ def test_worker_count_does_not_change_profile():
     for ea, eb in zip(a.layers, b.layers):
         assert ea.mu == eb.mu
         assert ea.samples_used == eb.samples_used
+
+
+BLAS_PROBE = """
+from prunekit.capacity import capacity_profile
+from prunekit.data import synthetic_textures
+from prunekit.presets import table1_chain
+from prunekit.tensors import frobenius_norm
+g = table1_chain(seed=0)
+print(repr(frobenius_norm(g.weights["FC1"][0])))
+d = synthetic_textures(4, 32, 32, 3, num_classes=10, seed=1)
+print(repr(capacity_profile(g, d).layer("FC1").mu))
+"""
+
+
+def test_mu_independent_of_blas_threads():
+    # OpenBLAS splits the 2M-entry FC1 dot across threads; the kernel norm
+    # must not go through it
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", BLAS_PROBE], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_report_roundtrip(tmp_path):

@@ -292,7 +292,11 @@ def test_prune_repeated_plan_layer_exits_2(workdir, capsys):
     ["capacity", "--batch-size", "-1"],
     ["sweep", "--grid", "0.1,abc"],
     ["sweep", "--grid", "0.1", "--trial-seeds", "x"],
-], ids=["batch-size-0", "batch-size-neg", "grid", "trial-seeds"])
+    ["sweep", "--grid", "0.1", "--finetune", "--ft-epochs", "-1"],
+    ["sweep", "--grid", "0.1", "--finetune", "--ft-lr", "0"],
+    ["sweep", "--grid", "0.1", "--floor-multiplier", "-1"],
+], ids=["batch-size-0", "batch-size-neg", "grid", "trial-seeds", "ft-epochs", "ft-lr",
+        "floor-multiplier"])
 def test_malformed_numeric_flag_exits_2(workdir, capsys, argv):
     code, _, err = run([*argv, "--model", workdir / "model.json",
                         "--data", workdir / "data.pkds", "--out", workdir / "out"], capsys)
@@ -400,8 +404,8 @@ def test_threads_env_changes_nothing(workdir, capsys, monkeypatch):
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
-    """A desk-style manifest, PKDS file, capacity report and plan that the
-    fuzz test mutates."""
+    """A desk-style manifest, PKDS file, capacity report, plan and pruned
+    manifest that the fuzz test mutates."""
     d = tmp_path_factory.mktemp("fuzz")
     save_model(conv_chain(seed=0, input_shape=(8, 8, 3), widths=(6, 8), fc_out=(10, 4)),
                d / "model.json")
@@ -412,6 +416,8 @@ def fuzz_dir(tmp_path_factory):
         assert main(["allocate", "--model", str(d / "model.json"), "--capacity", str(d / "cap.json"),
                      "--target", "0.5", "--floor-multiplier", "0",
                      "--out", str(d / "plan.json")]) == 0
+        assert main(["prune", "--model", str(d / "model.json"), "--plan", str(d / "plan.json"),
+                     "--method", "weight-magnitude", "--out", str(d / "pruned.json")]) == 0
     return d
 
 
@@ -424,6 +430,8 @@ FUZZ_COMMANDS = {
                                          "--capacity", x, "--target", 0.5,
                                          "--out", d / "out.json"]),
     "pkds": ("data.pkds", lambda d, x: ["eval", "--model", d / "model.json", "--data", x]),
+    "pruned": ("pruned.json", lambda d, x: ["finetune", "--model", x, "--data", d / "data.pkds",
+                                            "--epochs", 0, "--out", d / "out.json"]),
 }
 
 

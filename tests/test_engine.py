@@ -12,6 +12,7 @@ from prunekit.engine import (
     evaluate,
     finetune,
     forward,
+    forward_batches,
     init_weights,
     loss_and_grads,
     train,
@@ -193,6 +194,31 @@ def test_maxpool_tie_sends_gradient_to_first_maximal_tap():
     upstream = 2.0 / (1.0 + np.exp(-1.0))
     assert np.allclose(grads["c"][0].reshape(-1), upstream * np.array([0.4, 0.1]), rtol=1e-12)
     assert np.allclose(grads["c"][0].reshape(-1), [0.58484686, 0.14621172], rtol=1e-8)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("batch_size", [1, 7, 40])
+def test_forward_batches_joins_per_slice_forwards(batch_size, workers):
+    g = conv_chain(seed=4)
+    d = tiny_dataset(n=40)
+    capture = {"f1", "c1", "c2"}
+    out, trace = forward_batches(g, d.images, batch_size, capture, workers)
+    slices = [forward(g, d.images[s:s + batch_size], capture)
+              for s in range(0, len(d), batch_size)]
+    expected = np.concatenate([o for o, _ in slices])
+    assert np.array_equal(out, expected)
+    assert list(trace) == ["c1", "c2", "f1"]
+    for lid, (in_norms, out_norms) in trace.items():
+        assert np.array_equal(in_norms, np.concatenate([t[lid][0] for _, t in slices]))
+        assert np.array_equal(out_norms, np.concatenate([t[lid][1] for _, t in slices]))
+    assert evaluate(g, d, batch_size) == np.sum(expected.argmax(axis=1) == d.labels) / len(d)
+
+
+@pytest.mark.parametrize("rows, batch_size", [(0, 4), (3, 0)], ids=["no-rows", "batch-size-0"])
+def test_forward_batches_refuses_empty_work(rows, batch_size):
+    g = conv_chain(seed=4)
+    with pytest.raises(ValidationError):
+        forward_batches(g, np.zeros((rows, 8, 8, 3)), batch_size)
 
 
 def test_evaluate_constant_logits_ties_to_class_zero():

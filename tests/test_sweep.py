@@ -4,7 +4,7 @@ import pytest
 
 from conftest import conv_chain, tiny_dataset
 from prunekit.capacity import capacity_profile
-from prunekit.errors import ValidationError
+from prunekit.errors import NumericalError, ValidationError
 from prunekit.sweep import CSV_COLUMNS, SweepSpec, run_sweep
 
 
@@ -44,6 +44,23 @@ def test_failed_cell_recorded_and_sweep_continues(setup):
     failed = [r for r in rows if r["status"] != "ok"]
     assert ok and failed
     assert "infeasible" in failed[0]["status"]
+
+
+def test_failed_finetune_row_has_its_own_phase(setup, monkeypatch):
+    g, d, profile, tmp = setup
+
+    def diverge(*args, **kwargs):
+        raise NumericalError("training diverged")
+
+    monkeypatch.setattr("prunekit.sweep.finetune", diverge)
+    spec = SweepSpec(grid=[0.5], methods=("weight-magnitude",), baseline="uniform",
+                     finetune=True, ft_epochs=1, floor_multiplier=0)
+    run_sweep(g, profile, d, spec, tmp / "s.csv")
+    p_row, ft_row = read_rows(tmp / "s.csv")
+    assert (p_row["phase"], p_row["status"]) == ("p", "ok")
+    assert p_row["accuracy_median"] == p_row["accuracy"]
+    assert (ft_row["phase"], ft_row["status"]) == ("p+ft", "error: training diverged")
+    assert ft_row["accuracy"] == ft_row["accuracy_median"] == ""
 
 
 def test_csv_columns_stable(setup):
