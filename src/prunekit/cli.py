@@ -23,7 +23,7 @@ from .allocator import (
 )
 from .capacity import capacity_profile, load_report, profile_to_dict, save_report
 from .data import load_dataset, subsample
-from .engine import TrainConfig, evaluate, finetune, train
+from .engine import BLOCK_ROWS, TrainConfig, evaluate, finetune, train
 from .errors import (
     InfeasibleAllocationError,
     NumericalError,
@@ -215,7 +215,8 @@ def cmd_sweep(args) -> int:
     g = load_model(args.model)
     data = load_dataset(args.data)
     eval_data = load_dataset(args.eval_data) if args.eval_data else data
-    profile = capacity_profile(g, data, workers=worker_count())
+    profile = (capacity_profile(g, data, workers=worker_count())
+               if "layerwise" in spec.allocations() else None)
     rows = run_sweep(g, profile, eval_data, spec, args.out, ft_data=data)
     failed = sum(1 for r in rows if r.get("status") != "ok")
     print(f"rows={len(rows)}")
@@ -258,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subsample", type=int, default=0,
                    help="probe on a random subset of this size")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--batch-size", type=int, default=256)
+    p.add_argument("--batch-size", type=int, default=256,
+                   help="kept for compatibility and checked to be >= 1; the probe "
+                        f"runs in fixed blocks of {BLOCK_ROWS} rows whatever its value")
     p.set_defaults(func=cmd_capacity)
 
     p = sub.add_parser("allocate", help="turn a capacity report into per-layer sparsities")

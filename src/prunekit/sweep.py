@@ -21,7 +21,7 @@ from .allocator import (
 )
 from .capacity import CapacityProfile
 from .data import Dataset
-from .engine import TrainConfig, evaluate, finetune
+from .engine import TrainConfig, check_labels, evaluate, finetune
 from .errors import PrunekitError, ValidationError
 from .model import ModelGraph, layer_param_count
 from .pruning import METHOD_KINDS, PruneMethod, calibrate_strength, prune
@@ -96,16 +96,23 @@ def _fmt(value) -> str:
 
 def run_sweep(
     g: ModelGraph,
-    profile: CapacityProfile,
+    profile: CapacityProfile | None,
     eval_data: Dataset,
     spec: SweepSpec,
     csv_path,
     ft_data: Dataset | None = None,
 ) -> list[dict]:
-    """Execute the grid and write rows to csv_path; returns the rows."""
+    """Execute the grid and write rows to csv_path; returns the rows. The
+    profile is read only by layer-wise cells and may be None without them;
+    the prunable ids are then the model's own."""
     spec.validate()
+    if profile is None and "layerwise" in spec.allocations():
+        raise ValidationError("a layer-wise sweep needs a capacity profile")
     ft_data = ft_data if ft_data is not None else eval_data
-    prunable_ids = profile.layer_ids()
+    check_labels(g, eval_data)
+    if spec.finetune:
+        check_labels(g, ft_data)
+    prunable_ids = profile.layer_ids() if profile is not None else g.prunable_ids()
     prunable_params = [layer_param_count(g.spec(lid)) for lid in prunable_ids]
 
     def allocate(mode: str, strength: float) -> SparsityPlan:

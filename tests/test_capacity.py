@@ -190,20 +190,29 @@ def test_worker_count_does_not_change_profile():
 
 
 BLAS_PROBE = """
+import hashlib
 from prunekit.capacity import capacity_profile
 from prunekit.data import synthetic_textures
+from prunekit.engine import forward_batches
 from prunekit.presets import table1_chain
 from prunekit.tensors import frobenius_norm
 g = table1_chain(seed=0)
 print(repr(frobenius_norm(g.weights["FC1"][0])))
 d = synthetic_textures(4, 32, 32, 3, num_classes=10, seed=1)
 print(repr(capacity_profile(g, d).layer("FC1").mu))
+d = synthetic_textures(20, 32, 32, 3, num_classes=10, seed=2)
+out, trace = forward_batches(g, d.images, 256, frozenset(g.prunable_ids()))
+digest = hashlib.sha256(out.tobytes())
+for norms in trace.values():
+    for a in norms:
+        digest.update(a.tobytes())
+print(digest.hexdigest())
 """
 
 
 def test_mu_independent_of_blas_threads():
     # OpenBLAS splits the 2M-entry FC1 dot across threads; the kernel norm
-    # must not go through it
+    # must not go through it, and neither may the blocked table1 forward
     src = Path(__file__).resolve().parents[1] / "src"
     outputs = []
     for threads in ("1", "2"):

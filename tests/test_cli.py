@@ -305,6 +305,49 @@ def test_malformed_numeric_flag_exits_2(workdir, capsys, argv):
     assert not (workdir / "out").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["train", "--out", "out"],
+    ["finetune", "--out", "out"],
+    ["eval"],
+    ["sweep", "--grid", "0.1", "--finetune", "--out", "out"],
+], ids=["train", "finetune", "eval", "sweep-finetune"])
+def test_label_beyond_model_outputs_exits_2(workdir, capsys, argv):
+    """The workdir model has 4 outputs; a 10-class set holds labels up to 9."""
+    wide = workdir / "wide.pkds"
+    save_dataset(synthetic_textures(64, 8, 8, 3, num_classes=10, seed=2), wide)
+    model = workdir / "model.json"
+    if argv[0] == "finetune":
+        run(["allocate", "--model", model, "--uniform", "--target", 0.5,
+             "--out", workdir / "plan.json"], capsys)
+        run(["prune", "--model", model, "--plan", workdir / "plan.json",
+             "--method", "weight-magnitude", "--out", workdir / "pruned.json"], capsys)
+        model = workdir / "pruned.json"
+    argv = [workdir / a if a == "out" else a for a in argv]
+    code, _, err = run([*argv, "--model", model, "--data", wide], capsys)
+    assert code == 2
+    assert err.startswith("error: dataset label 9 is not below the model's 4 outputs")
+    assert not (workdir / "out").exists()
+
+
+def test_uniform_sweep_skips_the_capacity_probe(workdir, capsys, monkeypatch):
+    import prunekit.cli as cli
+
+    calls = []
+    probe = cli.capacity_profile
+    monkeypatch.setattr(cli, "capacity_profile",
+                        lambda *a, **k: calls.append(a) or probe(*a, **k))
+    csvs = {}
+    for baseline in ("uniform", "both"):
+        code, _, _ = run(["sweep", "--model", workdir / "model.json",
+                          "--data", workdir / "data.pkds", "--out", workdir / baseline,
+                          "--grid", "0.3,0.5", "--baseline", baseline], capsys)
+        assert code == 0
+        csvs[baseline] = (workdir / baseline).read_text().splitlines()
+    assert len(calls) == 1  # only the sweep with layer-wise cells probes
+    header, *rows = csvs["both"]
+    assert csvs["uniform"] == [header] + [r for r in rows if r.split(",")[1] == "uniform"]
+
+
 def test_plan_model_mismatch_rejected(workdir, capsys):
     run(["allocate", "--model", workdir / "model.json", "--uniform",
          "--target", 0.5, "--out", workdir / "plan.json"], capsys)

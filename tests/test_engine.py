@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import conv_chain, fc_graph, random_chains, separable_dataset, tiny_dataset
-from prunekit.data import Dataset
+from prunekit import engine
+from prunekit.capacity import capacity_profile
+from prunekit.data import Dataset, synthetic_textures
 from prunekit.engine import (
+    BLOCK_ROWS,
     TrainConfig,
     evaluate,
     finetune,
@@ -199,19 +202,57 @@ def test_maxpool_tie_sends_gradient_to_first_maximal_tap():
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("batch_size", [1, 7, 40])
 def test_forward_batches_joins_per_slice_forwards(batch_size, workers):
+    """The result is forward over BLOCK_ROWS-row blocks, joined in order,
+    whatever batch_size and workers are."""
     g = conv_chain(seed=4)
     d = tiny_dataset(n=40)
     capture = {"f1", "c1", "c2"}
     out, trace = forward_batches(g, d.images, batch_size, capture, workers)
-    slices = [forward(g, d.images[s:s + batch_size], capture)
-              for s in range(0, len(d), batch_size)]
-    expected = np.concatenate([o for o, _ in slices])
+    blocks = [forward(g, d.images[s:s + BLOCK_ROWS], capture)
+              for s in range(0, len(d), BLOCK_ROWS)]
+    expected = np.concatenate([o for o, _ in blocks])
     assert np.array_equal(out, expected)
     assert list(trace) == ["c1", "c2", "f1"]
     for lid, (in_norms, out_norms) in trace.items():
-        assert np.array_equal(in_norms, np.concatenate([t[lid][0] for _, t in slices]))
-        assert np.array_equal(out_norms, np.concatenate([t[lid][1] for _, t in slices]))
+        assert np.array_equal(in_norms, np.concatenate([t[lid][0] for _, t in blocks]))
+        assert np.array_equal(out_norms, np.concatenate([t[lid][1] for _, t in blocks]))
+    reference, _ = forward_batches(g, d.images, 40, capture, 1)
+    assert np.array_equal(out, reference)
     assert evaluate(g, d, batch_size) == np.sum(expected.argmax(axis=1) == d.labels) / len(d)
+
+
+def test_forward_batches_table1_independent_of_batch_size_and_workers():
+    g = table1_chain(seed=0)
+    d = synthetic_textures(40, 32, 32, 3, num_classes=10, seed=3)
+    capture = frozenset(g.prunable_ids())
+    runs = []
+    for batch_size in (1, 7, 256):
+        for workers in (1, 2):
+            out, trace = forward_batches(g, d.images, batch_size, capture, workers)
+            profile = capacity_profile(g, d, batch_size=batch_size, workers=workers)
+            runs.append((out, trace, [e.mu for e in profile.layers]))
+    out0, trace0, mus0 = runs[0]
+    for out, trace, mus in runs[1:]:
+        assert np.array_equal(out, out0)
+        for lid in capture:
+            assert all(np.array_equal(a, b) for a, b in zip(trace[lid], trace0[lid]))
+        assert mus == mus0
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_forward_batches_runs_blocks_of_at_most_block_rows(monkeypatch, workers):
+    seen = []
+    run = engine._run
+
+    def spy(g, x, *args, **kwargs):
+        seen.append(len(x))
+        return run(g, x, *args, **kwargs)
+
+    monkeypatch.setattr(engine, "_run", spy)
+    g = conv_chain(seed=4)
+    n = 3 * BLOCK_ROWS + 5
+    forward_batches(g, tiny_dataset(n=n).images, batch_size=n, workers=workers)
+    assert sorted(seen, reverse=True) == [BLOCK_ROWS] * 3 + [5]
 
 
 @pytest.mark.parametrize("rows, batch_size", [(0, 4), (3, 0)], ids=["no-rows", "batch-size-0"])

@@ -82,3 +82,14 @@ def test_spec_validation():
     with pytest.raises(ValidationError):
         SweepSpec(grid=[1.0]).validate()
     SweepSpec(grid=[0.1, 0.9]).validate()
+
+
+def test_uniform_sweep_needs_no_profile(setup):
+    g, d, profile, tmp = setup
+    spec = SweepSpec(grid=[0.3, 0.5], baseline="uniform", floor_multiplier=0)
+    run_sweep(g, profile, d, spec, tmp / "with.csv")
+    run_sweep(g, None, d, spec, tmp / "without.csv")
+    assert (tmp / "with.csv").read_bytes() == (tmp / "without.csv").read_bytes()
+    with pytest.raises(ValidationError, match="needs a capacity profile"):
+        run_sweep(g, None, d, SweepSpec(grid=[0.3], baseline="both"), tmp / "both.csv")
+    assert not (tmp / "both.csv").exists()
