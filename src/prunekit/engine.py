@@ -2,14 +2,17 @@
 
 Conv and fully-connected layers share one path. A conv is lowered by im2col
 to the matrix of its (kh, kw, c_in) input patches and is then an fc over
-them; only the lowering is the conv's own. Its input gradient reuses the
+them; only the lowering is the conv's own. The lowering writes the input
+into a zeroed padded buffer (or takes it C-contiguous when there is no
+padding) and copies one strided view of it, in which each window is kh runs
+of kw * c_in consecutive entries. Its input gradient reuses the
 lowering: it is a conv of the upstream gradient, padded by kernel size - 1
 minus the forward padding on each side, with the kernel flipped and its
 channels swapped. The capture path records, per sample, the norm of a
 layer's input and of its bias-free pre-activation response, which is all
-the capacity probe needs. forward_batches is the one loop that runs a
-dataset through the chain, in blocks of BLOCK_ROWS rows, for evaluation and
-the probe alike.
+the capacity probe needs; the forward then adds the bias and applies ReLU
+in place. forward_batches is the one loop that runs a dataset through the
+chain, in blocks of BLOCK_ROWS rows, for evaluation and the probe alike.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .data import Dataset
 from .errors import NumericalError, ValidationError
@@ -81,20 +84,30 @@ def _pads(layer: LayerSpec) -> tuple[int, int, int, int]:
 
 
 def _conv_cols(x: np.ndarray, kh: int, kw: int, pads: tuple[int, int, int, int]):
-    """im2col: rows are (kh, kw, c_in) patches in row-major tap order."""
+    """im2col: rows are (kh, kw, c_in) patches in row-major tap order, copied
+    once from a strided view of the zero-padded, C-contiguous input."""
     pt, pb, pl, pr = pads
+    n, h, w, c = x.shape
+    hp, wp = h + pt + pb, w + pl + pr
     if any(pads):
-        x = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
-    n, hp, wp, _ = x.shape
+        padded = np.zeros((n, hp, wp, c), dtype=x.dtype)
+        padded[:, pt:pt + h, pl:pl + w] = x
+        x = padded
+    else:
+        x = np.ascontiguousarray(x)
     oh, ow = hp - kh + 1, wp - kw + 1
-    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (n, oh, ow, c, kh, kw)
-    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, -1)
-    return np.ascontiguousarray(cols), oh, ow
+    # a window row's kw taps of c channels are kw*c consecutive entries
+    step = x.itemsize
+    windows = as_strided(x, (n, oh, ow, kh, kw * c),
+                         (hp * wp * c * step, wp * c * step, c * step, wp * c * step, step),
+                         writeable=False)
+    return windows.copy().reshape(n * oh * ow, kh * kw * c), oh, ow
 
 
 def _apply_activation(a: np.ndarray, kind: str) -> np.ndarray:
+    """The activation of a; a relu overwrites a."""
     if kind == "relu":
-        return np.maximum(a, 0.0)
+        return np.maximum(a, 0.0, out=a)
     if kind == "softmax":
         e = np.exp(a - a.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
@@ -124,10 +137,10 @@ def _run(g: ModelGraph, x: np.ndarray, capture: frozenset[str] | set[str],
                     np.linalg.norm(x.reshape(n, -1), axis=1),
                     np.linalg.norm(z.reshape(n, -1), axis=1),
                 )
-            pre = z + bias
+            z += bias
+            x = _apply_activation(z, layer.activation)
             if want_cache:
-                cache.update(cols=cols, pre=pre)
-            x = _apply_activation(pre, layer.activation)
+                cache.update(cols=cols, pre=z)
         elif layer.kind == "maxpool":
             ph, pw = layer.filter_shape
             _, h, w, c = x.shape
@@ -230,6 +243,7 @@ def loss_and_grads(g: ModelGraph, batch: np.ndarray, labels: np.ndarray
         if layer.is_weighted():
             if i != len(g.layers) - 1:
                 if layer.activation == "relu":
+                    # the forward wrote relu(pre) over pre; it is > 0 where pre is
                     d = d * (cache["pre"] > 0.0)
                 elif layer.activation == "softmax":
                     raise ValidationError("softmax below the final layer is not trainable")

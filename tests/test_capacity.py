@@ -193,8 +193,8 @@ BLAS_PROBE = """
 import hashlib
 from prunekit.capacity import capacity_profile
 from prunekit.data import synthetic_textures
-from prunekit.engine import forward_batches
-from prunekit.presets import table1_chain
+from prunekit.engine import TrainConfig, forward_batches, loss_and_grads, train
+from prunekit.presets import desk_chain, table1_chain
 from prunekit.tensors import frobenius_norm
 g = table1_chain(seed=0)
 print(repr(frobenius_norm(g.weights["FC1"][0])))
@@ -207,12 +207,25 @@ for norms in trace.values():
     for a in norms:
         digest.update(a.tobytes())
 print(digest.hexdigest())
+d = synthetic_textures(32, 32, 32, 3, num_classes=10, seed=3)
+loss, grads = loss_and_grads(g, d.images, d.labels)
+digest = hashlib.sha256(repr(loss).encode())
+for gk, gb in grads.values():
+    digest.update(gk.tobytes() + gb.tobytes())
+print(digest.hexdigest())
+d = synthetic_textures(128, 16, 16, 3, num_classes=3, seed=4)
+trained = train(desk_chain(seed=0), d, TrainConfig(epochs=2, learning_rate=0.008))
+digest = hashlib.sha256()
+for k, b in trained.weights.values():
+    digest.update(k.tobytes() + b.tobytes())
+print(digest.hexdigest())
 """
 
 
 def test_mu_independent_of_blas_threads():
     # OpenBLAS splits the 2M-entry FC1 dot across threads; the kernel norm
-    # must not go through it, and neither may the blocked table1 forward
+    # must not go through it, and neither may the blocked table1 forward, a
+    # table1 step's gradients or eight desk SGD steps
     src = Path(__file__).resolve().parents[1] / "src"
     outputs = []
     for threads in ("1", "2"):

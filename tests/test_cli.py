@@ -474,7 +474,15 @@ FUZZ_COMMANDS = {
                                          "--out", d / "out.json"]),
     "pkds": ("data.pkds", lambda d, x: ["eval", "--model", d / "model.json", "--data", x]),
     "pruned": ("pruned.json", lambda d, x: ["finetune", "--model", x, "--data", d / "data.pkds",
-                                            "--epochs", 0, "--out", d / "out.json"]),
+                                            "--epochs", 0, "--batch-size", 8,
+                                            "--out", d / "out.json"]),
+    "pkds-train": ("data.pkds", lambda d, x: ["train", "--model", d / "model.json", "--data", x,
+                                              "--epochs", 1, "--batch-size", 8,
+                                              "--out", d / "out.json"]),
+    "pkds-capacity": ("data.pkds", lambda d, x: ["capacity", "--model", d / "model.json",
+                                                 "--data", x, "--out", d / "out.json"]),
+    "report-calibrate": ("cap.json", lambda d, x: ["calibrate", "--model", d / "model.json",
+                                                   "--capacity", x, "--target", 0.5]),
 }
 
 

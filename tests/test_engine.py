@@ -2,8 +2,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 
 from conftest import conv_chain, fc_graph, random_chains, separable_dataset, tiny_dataset
 from prunekit import engine
@@ -76,6 +77,18 @@ def reference_forward(g, x):
             a = np.maximum(pre, 0.0) if layer.activation == "relu" else pre
         in_shape = out_shape
     return a, norms
+
+
+def im2col_reference(x, kh, kw, pads):
+    """The (kh, kw, c_in) patch matrix through np.pad, sliding_window_view and
+    a transpose."""
+    pt, pb, pl, pr = pads
+    x = np.pad(x, ((0, 0), (pt, pb), (pl, pr), (0, 0)))
+    n, hp, wp, _ = x.shape
+    oh, ow = hp - kh + 1, wp - kw + 1
+    windows = sliding_window_view(x, (kh, kw), axis=(1, 2))  # (n, oh, ow, c, kh, kw)
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n * oh * ow, -1)
+    return np.ascontiguousarray(cols), oh, ow
 
 
 def test_softmax_outputs_sum_to_one():
@@ -176,6 +189,51 @@ def test_forward_matches_reference_on_random_chains(chain, seed):
     assert close(logits, ref_logits)
     for lid, (in_norms, out_norms) in trace.items():
         assert close(in_norms, ref_norms[lid][0]) and close(out_norms, ref_norms[lid][1])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.integers(1, 9), st.integers(1, 9), st.integers(1, 9), st.integers(1, 5),
+       st.integers(1, 4), st.integers(1, 4),
+       st.sampled_from(["same", "valid", "grad-of-same", "grad-of-valid"]),
+       st.integers(0, 2**16))
+def test_conv_cols_matches_sliding_window_lowering(n, h, w, c, kh, kw, mode, seed):
+    """The patch matrix equals the reference byte for byte, for the forward
+    pads (even kernels give asymmetric ones) and the input gradient's."""
+    padding = mode.removeprefix("grad-of-")
+    assume(padding == "same" or (kh <= h and kw <= w))
+    pt, pb, pl, pr = engine._pads(LayerSpec("c", "conv2d", (kh, kw, c, 1), padding=padding))
+    if mode.startswith("grad-of-"):  # as in loss_and_grads
+        pt, pb, pl, pr = kh - 1 - pt, kh - 1 - pb, kw - 1 - pl, kw - 1 - pr
+    x = np.random.default_rng(seed).standard_normal((n, h, w, c))
+    cols, oh, ow = engine._conv_cols(x, kh, kw, (pt, pb, pl, pr))
+    ref, ref_oh, ref_ow = im2col_reference(x, kh, kw, (pt, pb, pl, pr))
+    assert (oh, ow) == (ref_oh, ref_ow)
+    assert cols.shape == ref.shape and cols.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("layout", ["fortran", "transpose", "negative-stride"])
+def test_valid_conv_of_a_non_contiguous_batch(layout):
+    """A batch that is not C-contiguous gives the outputs of its C-contiguous
+    copy: a valid first conv lowers the batch without padding it."""
+    rng = np.random.default_rng(8)
+    layers = [
+        LayerSpec("c", "conv2d", (3, 2, 3, 4), padding="valid", activation="relu"),
+        LayerSpec("fl", "flatten"),
+        LayerSpec("f", "fully-connected", (4 * 4 * 4, 3), activation="none"),
+    ]
+    g = init_weights(blank_graph(layers, (6, 5, 3), 3), seed=2)
+    base = rng.standard_normal((5, 6, 5, 3))
+    x = {
+        "fortran": np.asfortranarray(base),
+        "transpose": base.transpose(0, 2, 1, 3).copy().transpose(0, 2, 1, 3),
+        "negative-stride": base[::-1, ::-1, ::-1, ::-1].copy()[::-1, ::-1, ::-1, ::-1],
+    }[layout]
+    assert not x.flags.c_contiguous and np.array_equal(x, base)
+    out, trace = forward(g, x, capture={"c", "f"})
+    ref_out, ref_trace = forward(g, base, capture={"c", "f"})
+    assert out.tobytes() == ref_out.tobytes()
+    for lid in ("c", "f"):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(trace[lid], ref_trace[lid]))
 
 
 def test_maxpool_tie_sends_gradient_to_first_maximal_tap():
