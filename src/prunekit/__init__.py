@@ -7,8 +7,8 @@ from .allocator import (
     SparsityPlan,
     check_feasible,
     compute_alpha,
+    make_plan,
     min_remaining_floors,
-    naive_sparsities,
     solve_allocation,
     uniform_plan,
 )
@@ -37,9 +37,6 @@ from .pruning import (
     calibrate_s_hat,
     channels_to_prune,
     prune,
-    prune_channels_l1,
-    prune_channels_random,
-    prune_weights_magnitude,
 )
 from .sweep import SweepSpec, run_sweep
 
@@ -74,12 +71,9 @@ __all__ = [
     "layer_capacity",
     "load_dataset",
     "load_model",
+    "make_plan",
     "min_remaining_floors",
-    "naive_sparsities",
     "prune",
-    "prune_channels_l1",
-    "prune_channels_random",
-    "prune_weights_magnitude",
     "run_sweep",
     "save_dataset",
     "save_model",

@@ -118,12 +118,6 @@ def compute_alpha(s: float, total_params: float, omega_total: float) -> float:
     return (1.0 - s) * total_params / omega_total
 
 
-def naive_sparsities(inp: AllocationInput) -> np.ndarray:
-    """Unclipped per-layer sparsities; entries may fall outside [0, 1)."""
-    alpha = compute_alpha(inp.target_sparsity, inp.total_params, inp.omega_total)
-    return 1.0 - alpha * inp.omegas / inp.params
-
-
 def check_feasible(inp: AllocationInput) -> bool:
     """True iff the floors fit inside the remaining budget.
 
@@ -248,6 +242,23 @@ def allocation_input(
         floors=np.array([floors.get(lid, 0) for lid in ids], dtype=np.float64),
         target_sparsity=float(s),
     )
+
+
+def make_plan(
+    g: ModelGraph,
+    s: float,
+    profile: CapacityProfile | None = None,
+    floor_multiplier: int = 3,
+) -> SparsityPlan:
+    """The plan for a model at target sparsity s: the uniform baseline over
+    its prunable layers without a profile, the layer-wise allocation of the
+    profiled layers with one."""
+    if profile is not None:
+        return solve_allocation(allocation_input(g, profile, s, floor_multiplier))
+    ids = g.prunable_ids()
+    if not ids:
+        raise ValidationError("model has no prunable layers")
+    return uniform_plan(ids, [layer_param_count(g.spec(lid)) for lid in ids], s)
 
 
 def plan_to_dict(plan: SparsityPlan) -> dict:

@@ -13,14 +13,7 @@ import os
 import sys
 
 from . import __version__
-from .allocator import (
-    allocation_input,
-    load_plan,
-    plan_checksum,
-    save_plan,
-    solve_allocation,
-    uniform_plan,
-)
+from .allocator import load_plan, make_plan, save_plan
 from .capacity import capacity_profile, load_report, profile_to_dict, save_report
 from .data import load_dataset, subsample
 from .engine import BLOCK_ROWS, TrainConfig, evaluate, finetune, train
@@ -30,7 +23,7 @@ from .errors import (
     PrunekitError,
     ValidationError,
 )
-from .model import graph_checksum, layer_param_count, load_model, save_model
+from .model import graph_checksum, load_model, save_model
 from .pruning import (
     METHOD_KINDS,
     PruneMethod,
@@ -111,32 +104,29 @@ def cmd_capacity(args) -> int:
     return EXIT_OK
 
 
+def _report_for(model_sha256: str, path):
+    """The capacity report at path, refused when it was probed on another model."""
+    profile = load_report(path)
+    if profile.model_sha256 and profile.model_sha256 != model_sha256:
+        raise ValidationError(
+            "capacity report was computed for a different model "
+            f"({profile.model_sha256[:12]}... vs {model_sha256[:12]}...)"
+        )
+    return profile
+
+
 def cmd_allocate(args) -> int:
     g = load_model(args.model)
     model_sha256 = graph_checksum(g)
-    if args.uniform:
-        ids = g.prunable_ids()
-        if not ids:
-            raise ValidationError("model has no prunable layers")
-        plan = uniform_plan(ids, [layer_param_count(g.spec(lid)) for lid in ids],
-                            args.target)
-        plan.provenance = {"model_sha256": model_sha256}
-    else:
+    provenance = {"model_sha256": model_sha256}
+    profile = None
+    if not args.uniform:
         if not args.capacity:
             raise ValidationError("--capacity is required unless --uniform is given")
-        profile = load_report(args.capacity)
-        if profile.model_sha256 and profile.model_sha256 != model_sha256:
-            raise ValidationError(
-                "capacity report was computed for a different model "
-                f"({profile.model_sha256[:12]}... vs {model_sha256[:12]}...)"
-            )
-        plan = solve_allocation(
-            allocation_input(g, profile, args.target, args.floor_multiplier)
-        )
-        plan.provenance = {
-            "model_sha256": model_sha256,
-            "capacity_sha256": object_sha256(profile_to_dict(profile)),
-        }
+        profile = _report_for(model_sha256, args.capacity)
+        provenance["capacity_sha256"] = object_sha256(profile_to_dict(profile))
+    plan = make_plan(g, args.target, profile, args.floor_multiplier)
+    plan.provenance = provenance
     save_plan(plan, args.out)
     for row in plan.layers:
         print(f"s_l[{row.layer_id}]={row.sparsity}")
@@ -158,7 +148,7 @@ def cmd_prune(args) -> int:
     if expected and expected != graph_checksum(g):
         raise ValidationError("plan was computed for a different model")
     method = _parse_method(args.method, args.seed)
-    result = prune(g, plan, method, plan_sha256=plan_checksum(plan))
+    result = prune(g, plan, method)
     save_prune_result(result, args.out)
     print(f"achieved_sparsity={result.achieved_sparsity}")
     print(f"remaining_params={result.remaining_total}")
@@ -176,7 +166,7 @@ def cmd_finetune(args) -> int:
 
 def cmd_calibrate(args) -> int:
     g = load_model(args.model)
-    profile = load_report(args.capacity)
+    profile = _report_for(graph_checksum(g), args.capacity)
     method = _parse_method(args.method, args.seed)
     cal = calibrate_s_hat(g, profile, args.target, method, args.floor_multiplier)
     print(f"s_hat={cal.s_hat}")
@@ -319,11 +309,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _refuse_out_over_input(args) -> None:
+    """An --out that is one of the command's input files would replace it."""
+    out = getattr(args, "out", None)
+    if out is None or not os.path.exists(out):
+        return
+    for flag in ("model", "data", "eval_data", "capacity", "plan"):
+        path = getattr(args, flag, None)
+        if path and os.path.exists(path) and os.path.samefile(out, path):
+            raise ValidationError(f"--out {out} is the --{flag.replace('_', '-')} input")
+
+
 def main(argv=None) -> int:
     logging.basicConfig(level=logging.INFO, format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _refuse_out_over_input(args)
         return args.func(args)
     except (PrunekitError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

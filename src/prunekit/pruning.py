@@ -25,12 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .allocator import (
-    SparsityPlan,
-    allocation_input,
-    plan_checksum,
-    solve_allocation,
-)
+from .allocator import SparsityPlan, make_plan, plan_checksum
 from .capacity import CapacityProfile
 from .errors import NumericalError, ValidationError
 from .model import (
@@ -77,7 +72,7 @@ class PruneResult:
     remaining_total: int
     achieved_sparsity: float
     method: PruneMethod
-    plan_sha256: str | None = None
+    plan_sha256: str
 
 
 def _plan_ids_checked(g: ModelGraph, plan: SparsityPlan) -> set[str]:
@@ -186,8 +181,15 @@ def _l1_ranking(kernel: np.ndarray, n: int) -> np.ndarray:
     return np.flatnonzero(_smallest(np.abs(kernel).sum(axis=tuple(range(kernel.ndim - 1))), n))
 
 
-def _prune(g: ModelGraph, plan: SparsityPlan, method: PruneMethod) -> PruneResult:
-    """Zero or delete along the walk, and report the walk's shapes and counts."""
+def prune(g: ModelGraph, plan: SparsityPlan, method: PruneMethod) -> PruneResult:
+    """Zero or delete along the walk, and report the walk's shapes and counts.
+
+    weight-magnitude zeroes kernel weights and leaves biases untouched; its
+    keep-masks are returned so fine-tuning can hold pruned positions at zero.
+    channel-l1 removes the output channels with the smallest L1 sums, and
+    channel-random a seeded uniform random subset, drawn in chain order for
+    the layers that lose any. The result names the plan by its checksum.
+    """
     validate_graph(g)
     edits = _edits(g, plan, method.kind)
     plan_ids = set(plan.layer_ids())  # checked by the walk
@@ -222,34 +224,8 @@ def _prune(g: ModelGraph, plan: SparsityPlan, method: PruneMethod) -> PruneResul
     graph_shapes(out)  # each kernel must have the shape the walk counted
     remaining = {layer.id: kept for layer, _, _, kept, _ in edits}
     total = sum(remaining.values())
-    return PruneResult(out, masks, remaining, total, 1.0 - total / count_params(g)[1], method)
-
-
-def prune_weights_magnitude(g: ModelGraph, plan: SparsityPlan) -> PruneResult:
-    """Zero the k = round-half-away(s_l * |K|) smallest |w| of each planned
-    kernel, ties to the lower flat index, selected in linear time; biases
-    untouched. Keep-masks are returned so fine-tuning can hold pruned
-    positions at zero.
-    """
-    return _prune(g, plan, PruneMethod("weight-magnitude"))
-
-
-def prune_channels_l1(g: ModelGraph, plan: SparsityPlan) -> PruneResult:
-    """Remove the output channels with the smallest absolute kernel sums."""
-    return _prune(g, plan, PruneMethod("channel-l1"))
-
-
-def prune_channels_random(g: ModelGraph, plan: SparsityPlan, seed: int) -> PruneResult:
-    """Remove a seeded uniform random subset of output channels per layer,
-    drawn in chain order for the layers that lose any."""
-    return _prune(g, plan, PruneMethod("channel-random", seed=seed))
-
-
-def prune(g: ModelGraph, plan: SparsityPlan, method: PruneMethod,
-          plan_sha256: str | None = None) -> PruneResult:
-    result = _prune(g, plan, method)
-    result.plan_sha256 = plan_sha256 if plan_sha256 is not None else plan_checksum(plan)
-    return result
+    return PruneResult(out, masks, remaining, total, 1.0 - total / count_params(g)[1], method,
+                       plan_checksum(plan))
 
 
 def achieved_remaining(g: ModelGraph, plan: SparsityPlan, method: PruneMethod | str) -> int:
@@ -322,10 +298,7 @@ def calibrate_s_hat(
     method: PruneMethod | str,
     floor_multiplier: int = 3,
 ) -> Calibration:
-    def allocate(strength: float) -> SparsityPlan:
-        return solve_allocation(allocation_input(g, profile, strength, floor_multiplier))
-
-    return calibrate_strength(g, s, allocate, method)
+    return calibrate_strength(g, s, lambda t: make_plan(g, t, profile, floor_multiplier), method)
 
 
 def save_prune_result(result: PruneResult, manifest_path) -> None:

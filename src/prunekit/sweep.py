@@ -13,17 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .allocator import (
-    SparsityPlan,
-    allocation_input,
-    solve_allocation,
-    uniform_plan,
-)
+from .allocator import SparsityPlan, make_plan
 from .capacity import CapacityProfile
 from .data import Dataset
 from .engine import TrainConfig, check_labels, evaluate, finetune
 from .errors import PrunekitError, ValidationError
-from .model import ModelGraph, layer_param_count
+from .model import ModelGraph
 from .pruning import METHOD_KINDS, PruneMethod, calibrate_strength, prune
 from .serialize import write_atomic
 
@@ -104,7 +99,7 @@ def run_sweep(
 ) -> list[dict]:
     """Execute the grid and write rows to csv_path; returns the rows. The
     profile is read only by layer-wise cells and may be None without them;
-    the prunable ids are then the model's own."""
+    uniform cells cover the model's prunable layers."""
     spec.validate()
     if profile is None and "layerwise" in spec.allocations():
         raise ValidationError("a layer-wise sweep needs a capacity profile")
@@ -112,21 +107,12 @@ def run_sweep(
     check_labels(g, eval_data)
     if spec.finetune:
         check_labels(g, ft_data)
-    prunable_ids = profile.layer_ids() if profile is not None else g.prunable_ids()
-    prunable_params = [layer_param_count(g.spec(lid)) for lid in prunable_ids]
-
-    def allocate(mode: str, strength: float) -> SparsityPlan:
-        if mode == "uniform":
-            return uniform_plan(prunable_ids, prunable_params, strength)
-        return solve_allocation(
-            allocation_input(g, profile, strength, spec.floor_multiplier)
-        )
-
     rows: list[dict] = []
     for s in spec.grid:
         for method_kind in spec.methods:
             for mode in spec.allocations():
-                rows.extend(_run_cell(g, eval_data, ft_data, spec, allocate,
+                cell_profile = profile if mode == "layerwise" else None
+                rows.extend(_run_cell(g, eval_data, ft_data, spec, cell_profile,
                                       s, method_kind, mode))
 
     buf = io.StringIO()
@@ -138,18 +124,19 @@ def run_sweep(
     return rows
 
 
-def _run_cell(g, eval_data, ft_data, spec, allocate, s, method_kind, mode) -> list[dict]:
+def _run_cell(g, eval_data, ft_data, spec, profile, s, method_kind, mode) -> list[dict]:
+    """One cell's rows; profile is None for a uniform cell."""
     base = {"method": method_kind, "allocation": mode, "s": s}
     is_random = method_kind == "channel-random"
     method = PruneMethod(method_kind, seed=spec.seeds[0] if is_random else None)
     trials = spec.trials if is_random else 1
+
+    def allocate(strength: float) -> SparsityPlan:
+        return make_plan(g, strength, profile, spec.floor_multiplier)
+
     try:
-        if method.is_channel:
-            calibration = calibrate_strength(g, s, lambda t: allocate(mode, t), method)
-            s_hat = calibration.s_hat
-        else:
-            s_hat = s
-        plan = allocate(mode, s_hat)
+        s_hat = calibrate_strength(g, s, allocate, method).s_hat if method.is_channel else s
+        plan = allocate(s_hat)
     except PrunekitError as exc:
         return [dict(base, s_hat=None, trial=0, phase="p", seed=None,
                      status=f"error: {exc}")]

@@ -32,11 +32,11 @@ from prunekit.engine import (
 from prunekit.model import LayerSpec, count_params, validate_graph
 from prunekit.presets import blank_graph, desk_chain
 from prunekit.pruning import (
+    PruneMethod,
     achieved_remaining,
     calibrate_strength,
     channels_to_prune,
-    prune_channels_l1,
-    prune_channels_random,
+    prune,
 )
 from prunekit.sweep import SweepSpec, run_sweep
 from prunekit.tensors import frobenius_norm
@@ -295,9 +295,9 @@ def test_criterion_06_pruning_count_exactness():
             row.remaining = (1 - row.sparsity) * row.params
         method = "channel-l1" if checked % 2 == 0 else "channel-random"
         if method == "channel-l1":
-            result = prune_channels_l1(g, plan)
+            result = prune(g, plan, PruneMethod("channel-l1"))
         else:
-            result = prune_channels_random(g, plan, seed=checked)
+            result = prune(g, plan, PruneMethod("channel-random", seed=checked))
         removed = {lid: channels_to_prune(plan, g.spec(lid)) for lid in chosen}
         expected = analytic_channel_count(g, removed)
         executed = count_params(result.model)[1]
@@ -309,7 +309,7 @@ def test_criterion_06_pruning_count_exactness():
         single.layers[0].sparsity = sparsities[lid]
         single.layers[0].remaining = (1 - sparsities[lid]) * per[lid]
         k = channels_to_prune(single, g.spec(lid))
-        res1 = prune_channels_l1(g, single)
+        res1 = prune(g, single, PruneMethod("channel-l1"))
         per1, _ = count_params(res1.model)
         spec = g.spec(lid)
         if spec.kind == "conv2d":
@@ -362,7 +362,7 @@ def test_criterion_07_s_hat_calibration():
     target = n_total - s * allocate(s).included_params()
 
     grid = np.round(np.arange(0.0, s + 1e-9, 1e-3), 10)
-    scan = np.array([count_params(prune_channels_l1(g, allocate(t)).model)[1]
+    scan = np.array([count_params(prune(g, allocate(t), PruneMethod("channel-l1")).model)[1]
                      for t in grid])
     monotone = bool(np.all(np.diff(scan) <= 0))
     meets = cal.achieved >= target
@@ -429,7 +429,7 @@ def test_criterion_09_finetune_recovery(desk_runs):
             return solve_allocation(allocation_input(g, profile, t, 3))
 
         cal = calibrate_strength(g, 0.5, allocate, "channel-l1")
-        result = prune_channels_l1(g, allocate(cal.s_hat))
+        result = prune(g, allocate(cal.s_hat), PruneMethod("channel-l1"))
         pruned_acc = evaluate(result.model, data)
         tuned = finetune(result.model, result.masks, data,
                          TrainConfig(epochs=3, learning_rate=1e-4, seed=seed))

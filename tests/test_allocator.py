@@ -1,22 +1,34 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import random_chains
 from prunekit.allocator import (
     AllocationInput,
+    allocation_input,
     check_feasible,
     compute_alpha,
     load_plan,
+    make_plan,
     min_remaining_floors,
-    naive_sparsities,
+    plan_to_dict,
     save_plan,
     solve_allocation,
     uniform_plan,
 )
-from prunekit.errors import InfeasibleAllocationError, ValidationError
-from prunekit.model import LayerSpec
+from prunekit.capacity import profile_from_capacities
+from prunekit.errors import InfeasibleAllocationError, PrunekitError, ValidationError
+from prunekit.model import LayerSpec, layer_param_count
 from prunekit.presets import blank_graph, table1_chain
+
+
+def naive_sparsities(inp):
+    """Unclipped per-layer sparsities; entries may fall outside [0, 1)."""
+    alpha = compute_alpha(inp.target_sparsity, inp.total_params, inp.omega_total)
+    return 1.0 - alpha * inp.omegas / inp.params
 
 
 def random_instance(rng, n_layers=None, s=None):
@@ -321,6 +333,31 @@ def test_uniform_plan_sets_every_layer_to_target():
     assert all(r.sparsity == 0.5 for r in plan.layers)
     assert plan.allocation == "uniform"
     assert plan.achieved_total_remaining == pytest.approx(30.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(random_chains(), st.floats(0.0, 0.95), st.sampled_from([0, 3]))
+def test_make_plan_is_the_uniform_or_the_layerwise_plan(chain, s, floor_multiplier):
+    g, draws = chain
+    ids = g.prunable_ids()
+    uniform = uniform_plan(ids, [layer_param_count(g.spec(lid)) for lid in ids], s)
+    assert plan_to_dict(make_plan(g, s)) == plan_to_dict(uniform)
+    profile = profile_from_capacities({lid: 0.5 + draws[lid] for lid in ids})
+    try:
+        layerwise = solve_allocation(allocation_input(g, profile, s, floor_multiplier))
+    except PrunekitError as exc:  # floors above a layer's size or the budget
+        with pytest.raises(type(exc), match=re.escape(str(exc))):
+            make_plan(g, s, profile, floor_multiplier)
+    else:
+        assert (plan_to_dict(make_plan(g, s, profile, floor_multiplier))
+                == plan_to_dict(layerwise))
+
+
+def test_make_plan_refuses_a_model_without_prunable_layers():
+    layers = [LayerSpec("fl", "flatten"),
+              LayerSpec("fc", "fully-connected", (8, 2), activation="softmax")]
+    with pytest.raises(ValidationError, match="no prunable layers"):
+        make_plan(blank_graph(layers, (2, 2, 2), 2), 0.5)
 
 
 def test_floors_conv_rule():

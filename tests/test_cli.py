@@ -362,6 +362,37 @@ def test_plan_model_mismatch_rejected(workdir, capsys):
     assert "different model" in err
 
 
+@pytest.mark.parametrize("command", ["allocate", "calibrate"])
+def test_report_model_mismatch_rejected(workdir, capsys, command):
+    run(["capacity", "--model", workdir / "model.json", "--data", workdir / "data.pkds",
+         "--out", workdir / "cap.json"], capsys)
+    other = workdir / "other.json"
+    save_model(conv_chain(seed=99, input_shape=(8, 8, 3), widths=(6, 8),
+                          fc_out=(10, 4)), other)
+    out = ["--out", workdir / "plan.json"] if command == "allocate" else []
+    code, _, err = run([command, "--model", other, "--capacity", workdir / "cap.json",
+                        "--target", 0.5, *out], capsys)
+    assert code == 2
+    assert "different model" in err
+
+
+@pytest.mark.parametrize("argv, victim", [
+    (["capacity", "--model", "model.json", "--data", "data.pkds", "--out", "model.json"],
+     "model.json"),
+    (["train", "--model", "model.json", "--data", "data.pkds", "--out", "data.pkds"],
+     "data.pkds"),
+    (["train", "--model", "model.json", "--data", "data.pkds", "--out", "model.json"],
+     "model.json"),
+], ids=["capacity-over-model", "train-over-data", "train-over-model"])
+def test_out_naming_an_input_exits_2(workdir, capsys, argv, victim):
+    before = (workdir / victim).read_bytes()
+    code, _, err = run([workdir / a if a.endswith((".json", ".pkds")) else a for a in argv],
+                       capsys)
+    assert code == 2
+    assert "input" in err
+    assert (workdir / victim).read_bytes() == before
+
+
 def test_sweep_row_cardinality_and_determinism(workdir, capsys):
     args = ["sweep", "--model", workdir / "model.json",
             "--data", workdir / "data.pkds",
@@ -483,6 +514,10 @@ FUZZ_COMMANDS = {
                                                  "--data", x, "--out", d / "out.json"]),
     "report-calibrate": ("cap.json", lambda d, x: ["calibrate", "--model", d / "model.json",
                                                    "--capacity", x, "--target", 0.5]),
+    "manifest-sweep": ("model.json", lambda d, x: ["sweep", "--model", x,
+                                                   "--data", d / "data.pkds", "--grid", 0.5,
+                                                   "--baseline", "uniform",
+                                                   "--out", d / "out.csv"]),
 }
 
 

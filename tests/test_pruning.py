@@ -23,9 +23,6 @@ from prunekit.pruning import (
     channels_to_prune,
     load_prune_result,
     prune,
-    prune_channels_l1,
-    prune_channels_random,
-    prune_weights_magnitude,
     save_prune_result,
 )
 
@@ -50,7 +47,7 @@ def fc_prunable(weights, layer_id="fc"):
 def test_weight_prune_keeps_largest_magnitudes():
     g = fc_prunable(np.array([[0.1, -0.5, 0.3, -0.2]]))
     plan = plan_for(g, {"fc": 0.5})
-    result = prune_weights_magnitude(g, plan)
+    result = prune(g, plan, PruneMethod("weight-magnitude"))
     kernel = result.model.weights["fc"][0]
     assert np.array_equal(kernel, np.array([[0.0, -0.5, 0.3, 0.0]]))
     assert np.array_equal(result.masks["fc"], np.array([[False, True, True, False]]))
@@ -60,7 +57,7 @@ def test_weight_prune_zero_target_is_identity():
     g = conv_chain(seed=2)
     per, _ = count_params(g)
     plan = plan_for(g, {"c2": 0.0, "f1": 0.0})
-    result = prune_weights_magnitude(g, plan)
+    result = prune(g, plan, PruneMethod("weight-magnitude"))
     for lid, (k, b) in g.weights.items():
         assert np.array_equal(result.model.weights[lid][0], k)
     assert result.masks["c2"].all() and result.masks["f1"].all()
@@ -71,14 +68,14 @@ def test_weight_prune_tie_breaks_low_index():
     g = fc_prunable(np.array([[0.2, -0.2, 0.2]]))
     # one of three kernel weights: round(1/3 * 3) = 1
     plan = plan_for(g, {"fc": 1 / 3})
-    result = prune_weights_magnitude(g, plan)
+    result = prune(g, plan, PruneMethod("weight-magnitude"))
     assert np.array_equal(result.model.weights["fc"][0], np.array([[0.0, -0.2, 0.2]]))
 
 
 def test_weight_prune_magnitude_dominance():
     g = conv_chain(seed=8)
     plan = plan_for(g, {"c2": 0.6, "f1": 0.4})
-    result = prune_weights_magnitude(g, plan)
+    result = prune(g, plan, PruneMethod("weight-magnitude"))
     for lid in ("c2", "f1"):
         kernel = result.model.weights[lid][0]
         mask = result.masks[lid]
@@ -91,7 +88,7 @@ def test_weight_prune_magnitude_dominance():
 def test_weight_prune_biases_untouched():
     g = conv_chain(seed=8)
     plan = plan_for(g, {"c2": 0.9, "f1": 0.9})
-    result = prune_weights_magnitude(g, plan)
+    result = prune(g, plan, PruneMethod("weight-magnitude"))
     for lid in ("c2", "f1"):
         assert np.array_equal(result.model.weights[lid][1], g.weights[lid][1])
 
@@ -99,7 +96,7 @@ def test_weight_prune_biases_untouched():
 def test_masked_and_materialized_models_agree():
     g = conv_chain(seed=8)
     plan = plan_for(g, {"c2": 0.5, "f1": 0.5})
-    result = prune_weights_magnitude(g, plan)
+    result = prune(g, plan, PruneMethod("weight-magnitude"))
     rebuilt = ModelGraph(list(g.layers),
                          {lid: (k * result.masks.get(lid, np.ones_like(k, bool)),
                                 b.copy())
@@ -135,7 +132,7 @@ def test_l1_removes_smallest_sum_channel():
     g.weights["c1"] = (kernel, np.array([0.1, 0.2, 0.3]))
     g.weights["f1"] = (np.arange(24, dtype=float).reshape(12, 2), np.zeros(2))
     plan = plan_for(g, {"c1": 1 / 3})
-    result = prune_channels_l1(g, plan)
+    result = prune(g, plan, PruneMethod("channel-l1"))
     kept = result.model.weights["c1"][0][0, 0, 0]
     assert np.array_equal(kept, [5.0, 3.0])  # channel 1 (sum 1.0) removed
     assert np.array_equal(result.model.weights["c1"][1], [0.1, 0.3])
@@ -154,7 +151,7 @@ def test_l1_tie_breaks_low_channel_index():
     g.weights["c1"] = (kernel, np.zeros(3))
     g.weights["f1"] = (np.ones((3, 2)), np.zeros(2))
     plan = plan_for(g, {"c1": 1 / 3})
-    result = prune_channels_l1(g, plan)
+    result = prune(g, plan, PruneMethod("channel-l1"))
     assert np.array_equal(result.model.weights["c1"][0][0, 0, 0], [-2.0, 2.0])
 
 
@@ -180,7 +177,7 @@ def test_selection_matches_stable_argsort(values, data):
 
     # the weight mask: zeroed positions are the first k of a stable argsort of |w|
     g = fc_prunable(values.reshape(1, n))
-    result = prune_weights_magnitude(g, plan_for(g, {"fc": k / n}))
+    result = prune(g, plan_for(g, {"fc": k / n}), PruneMethod("weight-magnitude"))
     dropped = np.flatnonzero(~result.masks["fc"].reshape(-1))
     assert np.array_equal(dropped, stable_smallest(np.abs(values), k))
     assert np.array_equal(result.model.weights["fc"][0].reshape(-1),
@@ -196,7 +193,8 @@ def test_table1_weight_masks_are_pinned():
     """Weight-magnitude at uniform s = 0.5 on table1, FC1's 2,097,152 weights
     included; the digest was computed with a stable argsort selection."""
     g = table1_chain(seed=0)
-    result = prune_weights_magnitude(g, plan_for(g, {lid: 0.5 for lid in g.prunable_ids()}))
+    result = prune(g, plan_for(g, {lid: 0.5 for lid in g.prunable_ids()}),
+                   PruneMethod("weight-magnitude"))
     assert list(result.masks) == ["Conv2", "Conv3", "Conv4", "FC1"]
     packed = b"".join(np.packbits(m.reshape(-1)).tobytes() for m in result.masks.values())
     assert hashlib.sha256(packed).hexdigest() == (
@@ -216,7 +214,7 @@ def test_conv_to_conv_propagation_delta():
     g = init_weights(blank_graph(layers, (4, 4, 4), 2), seed=0)
     per0, _ = count_params(g)
     plan = plan_for(g, {"c1": 0.25})  # floor(0.25 * 8) = 2 channels
-    result = prune_channels_l1(g, plan)
+    result = prune(g, plan, PruneMethod("channel-l1"))
     per1, _ = count_params(result.model)
     assert result.model.spec("c2").filter_shape == (3, 3, 6, 16)
     assert per0["c1"] - per1["c1"] == 2 * (3 * 3 * 4 + 1)
@@ -238,7 +236,7 @@ def test_conv_flatten_fc_row_mapping():
     rows = np.arange(12, dtype=float).reshape(12, 1) * np.ones((1, 2))
     g.weights["f1"] = (rows.copy(), np.zeros(2))
     plan = plan_for(g, {"c1": 1 / 3})
-    result = prune_channels_l1(g, plan)
+    result = prune(g, plan, PruneMethod("channel-l1"))
     kept_rows = result.model.weights["f1"][0][:, 0]
     expected = [r for r in range(12) if r % 3 != 1]
     assert np.array_equal(kept_rows, expected)
@@ -247,7 +245,7 @@ def test_conv_flatten_fc_row_mapping():
 def test_prune_zero_channels_is_identity():
     g = conv_chain(seed=5)
     plan = plan_for(g, {"c2": 0.0, "f1": 0.0})
-    result = prune_channels_l1(g, plan)
+    result = prune(g, plan, PruneMethod("channel-l1"))
     for lid, (k, b) in g.weights.items():
         assert np.array_equal(result.model.weights[lid][0], k)
         assert np.array_equal(result.model.weights[lid][1], b)
@@ -256,18 +254,18 @@ def test_prune_zero_channels_is_identity():
 def test_random_channels_deterministic_and_xi_floor():
     g = conv_chain(seed=5, widths=(6, 8))
     plan = plan_for(g, {"c2": 5 / 8})  # floor(5) = 5 of 8 -> 3 survive
-    a = prune_channels_random(g, plan, seed=42)
-    b = prune_channels_random(g, plan, seed=42)
+    a = prune(g, plan, PruneMethod("channel-random", seed=42))
+    b = prune(g, plan, PruneMethod("channel-random", seed=42))
     assert np.array_equal(a.model.weights["c2"][0], b.model.weights["c2"][0])
     assert a.model.spec("c2").filter_shape[-1] == 3
-    c = prune_channels_random(g, plan, seed=43)
+    c = prune(g, plan, PruneMethod("channel-random", seed=43))
     assert a.remaining_total == c.remaining_total  # counts independent of choice
 
 
 def test_pruned_model_forwards_finite():
     g = conv_chain(seed=5)
     plan = plan_for(g, {"c2": 0.5, "f1": 0.5})
-    result = prune_channels_l1(g, plan)
+    result = prune(g, plan, PruneMethod("channel-l1"))
     validate_graph(result.model)
     out, _ = forward(result.model, np.random.default_rng(1).uniform(0, 1, (4, 8, 8, 3)))
     assert np.isfinite(out).all()
@@ -277,14 +275,14 @@ def test_cannot_channel_prune_last_weighted_layer():
     g = fc_prunable(np.ones((3, 4)))
     plan = plan_for(g, {"fc": 0.5})
     with pytest.raises(ValidationError, match="downstream"):
-        prune_channels_l1(g, plan)
+        prune(g, plan, PruneMethod("channel-l1"))
 
 
 def test_plan_on_non_prunable_layer_rejected():
     g = conv_chain(seed=5)
     plan = plan_for(g, {"c1": 0.5})  # c1 is not prunable in this fixture
     with pytest.raises(ValidationError, match="non-prunable"):
-        prune_channels_l1(g, plan)
+        prune(g, plan, PruneMethod("channel-l1"))
 
 
 METHODS = [PruneMethod("weight-magnitude"), PruneMethod("channel-l1"),
@@ -305,7 +303,7 @@ def test_plan_sparsity_outside_unit_interval_rejected(method, s_l):
 def test_weight_prune_full_sparsity_zeroes_the_kernel():
     g = conv_chain(seed=5)
     plan = plan_for(g, {"c2": 1.0})
-    result = prune_weights_magnitude(g, plan)
+    result = prune(g, plan, PruneMethod("weight-magnitude"))
     assert not result.model.weights["c2"][0].any()
     assert achieved_remaining(g, plan, "weight-magnitude") == result.remaining_total
 
@@ -323,7 +321,7 @@ def test_dry_run_matches_execution_weight():
     g = conv_chain(seed=5)
     plan = plan_for(g, {"c2": 0.37, "f1": 0.62})
     dry = achieved_remaining(g, plan, "weight-magnitude")
-    wet = prune_weights_magnitude(g, plan)
+    wet = prune(g, plan, PruneMethod("weight-magnitude"))
     assert dry == wet.remaining_total
     # independent recount: nonzero kernel entries plus biases
     nonzero = sum(int(np.count_nonzero(k)) + b.size
@@ -335,7 +333,7 @@ def test_dry_run_matches_execution_channel():
     g = conv_chain(seed=5)
     plan = plan_for(g, {"c2": 0.37, "f1": 0.62})
     dry = achieved_remaining(g, plan, "channel-l1")
-    wet = prune_channels_l1(g, plan)
+    wet = prune(g, plan, PruneMethod("channel-l1"))
     assert dry == wet.remaining_total == count_params(wet.model)[1]
 
 
@@ -466,7 +464,7 @@ def test_calibrate_channel_backs_off_and_scan_verifies():
     scan = []
     grid = np.arange(0.0, s + 1e-9, 1e-3)
     for t in grid:
-        c = count_params(prune_channels_l1(g, allocate(t)).model)[1]
+        c = count_params(prune(g, allocate(t), PruneMethod("channel-l1")).model)[1]
         scan.append(c)
     scan = np.array(scan)
     assert np.all(np.diff(scan) <= 0)  # monotone nonincreasing
