@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset
-from .engine import CaptureTrace, forward_batches
+from .engine import CaptureTrace, check_batch_size, forward
 from .errors import NumericalError, ValidationError
 from .model import ModelGraph, graph_checksum
 from .serialize import conventions, read_json, write_json
@@ -94,7 +94,8 @@ def capacity_profile(
     ids = list(prunable) if prunable is not None else g.prunable_ids()
     if not ids:
         raise ValidationError("no prunable layers to profile")
-    _, trace = forward_batches(g, calib.images, batch_size, frozenset(ids), workers)
+    check_batch_size(batch_size)
+    _, trace = forward(g, calib.images, frozenset(ids), workers)
 
     entries: list[LayerCapacity] = []
     for lid in ids:

@@ -1,25 +1,24 @@
 """Forward/backward passes, SGD training and fine-tuning, accuracy evaluation.
 
-Conv and fully-connected layers share one path. A conv is lowered by im2col
-to the matrix of its (kh, kw, c_in) input patches and is then an fc over
-them; only the lowering is the conv's own. The lowering writes the input
-into a zeroed padded buffer (or takes it C-contiguous when there is no
-padding) and copies one strided view of it, in which each window is kh runs
-of kw * c_in consecutive entries. Its input gradient reuses the
-lowering: it is a conv of the upstream gradient, padded by kernel size - 1
-minus the forward padding on each side, with the kernel flipped and its
-channels swapped. The capture path records, per sample, the norm of a
-layer's input and of its bias-free pre-activation response, which is all
-the capacity probe needs; the forward then adds the bias and applies ReLU
-in place. forward_batches is the one loop that runs a dataset through the
-chain, in blocks of BLOCK_ROWS rows, for evaluation and the probe alike.
+_layer_forward and _layer_backward each hold every layer kind once; conv and
+fc share one path. A conv is lowered by im2col to the matrix of its (kh, kw,
+c_in) input patches and is then an fc over them: the input goes into a
+zeroed padded buffer (or is taken C-contiguous when there is no padding) and
+one strided view of it, where each window is kh runs of kw * c_in
+consecutive entries, is copied. Its input gradient reuses the lowering: it
+is a conv of the upstream gradient, padded by kernel size - 1 minus the
+forward padding on each side, with the kernel flipped and its channels
+swapped. A capture records, per sample, the norm of a layer's input and of
+its bias-free pre-activation response, all the capacity probe needs; the
+forward then adds the bias and applies ReLU in place. forward, the one
+inference path, runs BLOCK_ROWS-row blocks and keeps no layer's state.
 """
 from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import reduce
+from functools import partial, reduce
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -30,7 +29,7 @@ from .model import LayerSpec, ModelGraph, clone_graph, validate_graph
 
 CaptureTrace = dict[str, tuple[np.ndarray, np.ndarray]]
 
-# Rows per forward_batches block. At 8 rows table1's Conv2 im2col is 18.9 MB,
+# Rows per forward block. At 8 rows table1's Conv2 im2col is 18.9 MB,
 # against 604 MB for a 256-row slice, and a table1 probe ran faster than at 16.
 BLOCK_ROWS = 8
 
@@ -114,97 +113,102 @@ def _apply_activation(a: np.ndarray, kind: str) -> np.ndarray:
     return a
 
 
-def _run(g: ModelGraph, x: np.ndarray, capture: frozenset[str] | set[str],
-         want_cache: bool):
-    """Shared forward pass; returns (output, trace, caches)."""
+def _layer_forward(g: ModelGraph, layer: LayerSpec, x: np.ndarray,
+                   capture: frozenset[str] | set[str] = frozenset(),
+                   trace: CaptureTrace | None = None):
+    """One layer on x; returns (output, saved), where saved is what
+    _layer_backward reads: (cols, pre) for a weighted layer, (xr, out) for a
+    maxpool and the input shape for a flatten. A layer in capture records its
+    input and response norms in trace."""
     n = x.shape[0]
+    if layer.is_weighted():
+        kernel, bias = g.weights[layer.id]
+        cout = layer.filter_shape[-1]
+        if layer.kind == "conv2d":
+            kh, kw = layer.filter_shape[:2]
+            cols, oh, ow = _conv_cols(x, kh, kw, _pads(layer))
+            out_shape: tuple[int, ...] = (n, oh, ow, cout)
+        else:
+            cols, out_shape = x, (n, cout)
+        z = (cols @ kernel.reshape(-1, cout)).reshape(out_shape)
+        if layer.id in capture:
+            trace[layer.id] = (
+                np.linalg.norm(x.reshape(n, -1), axis=1),
+                np.linalg.norm(z.reshape(n, -1), axis=1),
+            )
+        z += bias
+        return _apply_activation(z, layer.activation), (cols, z)
+    if layer.kind == "maxpool":
+        ph, pw = layer.filter_shape
+        _, h, w, c = x.shape
+        xr = x.reshape(n, h // ph, ph, w // pw, pw, c)
+        out = reduce(np.maximum, (xr[:, :, di, :, dj, :] for di, dj in np.ndindex(ph, pw)))
+        return out, (xr, out)
+    return x.reshape(n, -1), x.shape  # flatten
+
+
+def _layer_backward(g: ModelGraph, layer: LayerSpec, saved, d: np.ndarray) -> np.ndarray:
+    """The gradient of a layer's input from d, the gradient of its output
+    (of its pre-activation for a weighted layer) and the layer's saved."""
+    if layer.is_weighted():
+        kernel, _ = g.weights[layer.id]
+        if layer.kind != "conv2d":
+            return d @ kernel.T
+        kh, kw, c_in = layer.filter_shape[:3]
+        pt, pb, pl, pr = _pads(layer)
+        dcols, h, w = _conv_cols(d, kh, kw, (kh - 1 - pt, kh - 1 - pb, kw - 1 - pl, kw - 1 - pr))
+        flipped = kernel[::-1, ::-1].swapaxes(2, 3).reshape(-1, c_in)
+        return (dcols @ flipped).reshape(len(d), h, w, c_in)
+    if layer.kind == "maxpool":
+        # a window's gradient goes to its first maximal tap in row-major order
+        xr, out = saved
+        dx = np.zeros(xr.shape)
+        free = np.ones(out.shape, dtype=bool)
+        for di, dj in np.ndindex(*layer.filter_shape):
+            hit = free & (xr[:, :, di, :, dj, :] == out)
+            np.copyto(dx[:, :, di, :, dj, :], d, where=hit)
+            free &= ~hit
+        n, hh, ph, ww, pw, c = xr.shape
+        return dx.reshape(n, hh * ph, ww * pw, c)
+    return d.reshape(saved)  # flatten
+
+
+def _run(g: ModelGraph, x: np.ndarray, capture: frozenset[str] | set[str]
+         ) -> tuple[np.ndarray, CaptureTrace]:
+    """The chain on one block; returns (output, trace). Each layer's saved
+    state is dropped as soon as the layer has run."""
     trace: CaptureTrace = {}
-    caches: list[dict] = []
     for layer in g.layers:
-        cache: dict = {}
-        if layer.is_weighted():
-            kernel, bias = g.weights[layer.id]
-            cout = layer.filter_shape[-1]
-            if layer.kind == "conv2d":
-                kh, kw = layer.filter_shape[:2]
-                cols, oh, ow = _conv_cols(x, kh, kw, _pads(layer))
-                out_shape: tuple[int, ...] = (n, oh, ow, cout)
-            else:
-                cols, out_shape = x, (n, cout)
-            z = (cols @ kernel.reshape(-1, cout)).reshape(out_shape)
-            if layer.id in capture:
-                trace[layer.id] = (
-                    np.linalg.norm(x.reshape(n, -1), axis=1),
-                    np.linalg.norm(z.reshape(n, -1), axis=1),
-                )
-            z += bias
-            x = _apply_activation(z, layer.activation)
-            if want_cache:
-                cache.update(cols=cols, pre=z)
-        elif layer.kind == "maxpool":
-            ph, pw = layer.filter_shape
-            _, h, w, c = x.shape
-            xr = x.reshape(n, h // ph, ph, w // pw, pw, c)
-            x = reduce(np.maximum, (xr[:, :, di, :, dj, :] for di, dj in np.ndindex(ph, pw)))
-            if want_cache:
-                cache.update(xr=xr, out=x)
-        else:  # flatten
-            if want_cache:
-                cache.update(x_shape=x.shape)
-            x = x.reshape(n, -1)
-        caches.append(cache)
-    return x, trace, caches
+        x = _layer_forward(g, layer, x, capture, trace)[0]
+    return x, trace
 
 
-def _checked_input(g: ModelGraph, batch: np.ndarray, capture: set[str] | frozenset[str]
-                   ) -> np.ndarray:
-    """The batch as float64 rows of the model input; at least one row, and
-    captures of weighted layers only."""
-    batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim == 3:
-        batch = batch[None]
-    if batch.shape[1:] != tuple(g.input_shape):
-        raise ValidationError(
-            f"batch shape {batch.shape[1:]} does not match model input {tuple(g.input_shape)}"
-        )
-    if len(batch) == 0:
-        raise ValidationError("batch has no samples")
-    weighted = {l.id for l in g.layers if l.is_weighted()}
-    unknown = set(capture) - weighted
-    if unknown:
-        raise ValidationError(f"capture requests non-weighted layers: {sorted(unknown)}")
-    return batch
-
-
-def forward(g: ModelGraph, batch: np.ndarray, capture: set[str] | frozenset[str] = frozenset()
-            ) -> tuple[np.ndarray, CaptureTrace]:
-    """Run the chain on a batch; optionally capture per-sample layer norms.
+def forward(g: ModelGraph, images: np.ndarray, capture: set[str] | frozenset[str] = frozenset(),
+            workers: int = 1) -> tuple[np.ndarray, CaptureTrace]:
+    """Run the chain on consecutive BLOCK_ROWS-row blocks of images (at least
+    one row; one sample may come without its batch axis), joined in row
+    order; optionally capture per-sample norms of weighted layers.
 
     Captured entries are (input_norm, response_norm) arrays where the
     response is the bias-free linear output of the layer, before activation.
+    Trace keys follow the chain order. With workers > 1 a thread pool runs
+    whole blocks, so each worker holds the buffers of one block at a time;
+    the result does not depend on workers.
     """
-    return _run(g, _checked_input(g, batch, capture), capture, want_cache=False)[:2]
-
-
-def forward_batches(g: ModelGraph, images: np.ndarray, batch_size: int,
-                    capture: set[str] | frozenset[str] = frozenset(), workers: int = 1
-                    ) -> tuple[np.ndarray, CaptureTrace]:
-    """forward over consecutive BLOCK_ROWS-row blocks of images, joined in
-    row order, so the result depends on neither batch_size nor workers.
-
-    batch_size is checked to be >= 1 and otherwise unused; it stays for the
-    callers' signatures. With workers > 1 a thread pool runs whole blocks, so
-    each worker holds the buffers of one block at a time. Trace keys follow
-    the chain order.
-    """
-    if batch_size < 1:
-        raise ValidationError(f"batch size must be >= 1, got {batch_size}")
-    images = _checked_input(g, images, capture)
+    images = np.asarray(images, dtype=np.float64)
+    if images.ndim == 3:
+        images = images[None]
+    if images.shape[1:] != tuple(g.input_shape):
+        raise ValidationError(
+            f"batch shape {images.shape[1:]} does not match model input {tuple(g.input_shape)}"
+        )
+    if len(images) == 0:
+        raise ValidationError("batch has no samples")
+    unknown = set(capture) - {l.id for l in g.layers if l.is_weighted()}
+    if unknown:
+        raise ValidationError(f"capture requests non-weighted layers: {sorted(unknown)}")
     blocks = [images[start:start + BLOCK_ROWS] for start in range(0, len(images), BLOCK_ROWS)]
-
-    def run(x: np.ndarray) -> tuple[np.ndarray, CaptureTrace]:
-        return _run(g, x, capture, want_cache=False)[:2]
-
+    run = partial(_run, g, capture=capture)
     if workers > 1 and len(blocks) > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             parts = list(pool.map(run, blocks))
@@ -222,13 +226,17 @@ def loss_and_grads(g: ModelGraph, batch: np.ndarray, labels: np.ndarray
     """Mean softmax cross-entropy and its weight gradients for one batch."""
     batch = np.asarray(batch, dtype=np.float64)
     labels = np.asarray(labels)
-    final = g.layers[-1]
-    if final.activation != "softmax":
+    if g.layers[-1].activation != "softmax":
         raise ValidationError("training requires a softmax final layer")
+    if any(layer.activation == "softmax" for layer in g.layers[:-1]):
+        raise ValidationError("softmax below the final layer is not trainable")
     n = batch.shape[0]
 
-    probs, _, caches = _run(g, batch, frozenset(), want_cache=True)
-    logits = caches[-1]["pre"]
+    probs, saved = batch, []
+    for layer in g.layers:
+        probs, s = _layer_forward(g, layer, probs)
+        saved.append(s)
+    logits = saved[-1][1]
     shifted = logits - logits.max(axis=1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=1)) + logits.max(axis=1)
     loss = float(np.mean(logsumexp - logits[np.arange(n), labels]))
@@ -239,45 +247,15 @@ def loss_and_grads(g: ModelGraph, batch: np.ndarray, labels: np.ndarray
     grads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for i in range(len(g.layers) - 1, -1, -1):
         layer = g.layers[i]
-        cache = caches[i]
         if layer.is_weighted():
-            if i != len(g.layers) - 1:
-                if layer.activation == "relu":
-                    # the forward wrote relu(pre) over pre; it is > 0 where pre is
-                    d = d * (cache["pre"] > 0.0)
-                elif layer.activation == "softmax":
-                    raise ValidationError("softmax below the final layer is not trainable")
-            kernel, _ = g.weights[layer.id]
-            cout = layer.filter_shape[-1]
-            d_flat = d.reshape(-1, cout)
-            grads[layer.id] = (
-                (cache["cols"].T @ d_flat).reshape(layer.filter_shape),
-                d_flat.sum(axis=0),
-            )
-            if i == 0:
-                break  # no layer below needs the input gradient
-            if layer.kind == "conv2d":
-                kh, kw, c_in = layer.filter_shape[:3]
-                pt, pb, pl, pr = _pads(layer)
-                dcols, h, w = _conv_cols(d, kh, kw,
-                                         (kh - 1 - pt, kh - 1 - pb, kw - 1 - pl, kw - 1 - pr))
-                flipped = kernel[::-1, ::-1].swapaxes(2, 3).reshape(-1, c_in)
-                d = (dcols @ flipped).reshape(n, h, w, c_in)
-            else:
-                d = d_flat @ kernel.T
-        elif layer.kind == "maxpool":
-            # a window's gradient goes to its first maximal tap in row-major order
-            xr, out = cache["xr"], cache["out"]
-            dx = np.zeros(xr.shape)
-            free = np.ones(out.shape, dtype=bool)
-            for di, dj in np.ndindex(*layer.filter_shape):
-                hit = free & (xr[:, :, di, :, dj, :] == out)
-                np.copyto(dx[:, :, di, :, dj, :], d, where=hit)
-                free &= ~hit
-            _, hh, ph, ww, pw, c = xr.shape
-            d = dx.reshape(n, hh * ph, ww * pw, c)
-        else:  # flatten
-            d = d.reshape(cache["x_shape"])
+            cols, pre = saved[i]
+            if layer.activation == "relu":
+                # the forward wrote relu(pre) over pre; it is > 0 where pre is
+                d = d * (pre > 0.0)
+            d_flat = d.reshape(-1, layer.filter_shape[-1])
+            grads[layer.id] = ((cols.T @ d_flat).reshape(layer.filter_shape), d_flat.sum(axis=0))
+        if i > 0:  # the first layer's input gradient has no use
+            d = _layer_backward(g, layer, saved[i], d)
     return loss, grads
 
 
@@ -289,11 +267,19 @@ def check_labels(g: ModelGraph, d: Dataset) -> None:
                               f"{g.num_classes} outputs")
 
 
+def check_batch_size(batch_size: int) -> None:
+    """evaluate and the capacity probe run fixed blocks, so their batch_size
+    sets nothing; it is still checked to be at least 1."""
+    if batch_size < 1:
+        raise ValidationError(f"batch size must be >= 1, got {batch_size}")
+
+
 def evaluate(g: ModelGraph, d: Dataset, batch_size: int = 256) -> float:
     """Fraction of samples whose argmax output matches the label; batch_size
-    is only checked, as in forward_batches."""
+    is only checked (check_batch_size)."""
     check_labels(g, d)
-    out, _ = forward_batches(g, d.images, batch_size)
+    check_batch_size(batch_size)
+    out, _ = forward(g, d.images)
     return int(np.sum(out.argmax(axis=1) == d.labels)) / len(d)
 
 

@@ -2,8 +2,8 @@
 
 A model is a linear chain of layers (conv2d / fully-connected / maxpool /
 flatten). Weights live in a side table keyed by layer id and are written to
-disk as raw little-endian float64 blobs referenced from a JSON manifest with
-SHA-256 integrity hashes.
+disk as raw little-endian float64 blobs, and keep-masks as bit-packed ones,
+referenced from a JSON manifest with SHA-256 integrity hashes.
 """
 from __future__ import annotations
 
@@ -184,7 +184,7 @@ def validate_graph(g: ModelGraph) -> list[tuple[int, ...]]:
     finite); return per-layer output shapes.
 
     Weights are checked where they enter or leave a graph: load_model,
-    save_model, init_weights, train/finetune and the three prune functions.
+    save_model, init_weights, train/finetune and prune.
     """
     shapes = graph_shapes(g)
     for layer in g.layers:
@@ -270,10 +270,11 @@ def save_model(
     g: ModelGraph,
     manifest_path,
     *,
-    extra_top: dict | None = None,
+    provenance: dict | None = None,
     masks: dict[str, np.ndarray] | None = None,
 ) -> None:
-    """Write one raw blob per weight tensor and keep-mask, then the manifest.
+    """Write one raw blob per weight tensor and keep-mask, then the manifest,
+    with provenance as its last key when given.
 
     Round-trips bit-exactly: blobs are the little-endian float64 bytes of the
     arrays (masks: the bit-packed booleans) and the manifest records their
@@ -317,8 +318,8 @@ def save_model(
         "num_classes": int(g.num_classes),
         "layers": entries,
     }
-    if extra_top:
-        manifest.update(extra_top)
+    if provenance is not None:
+        manifest["provenance"] = provenance
     write_json(manifest, manifest_path)
 
 
@@ -374,3 +375,20 @@ def graph_from_manifest(manifest: dict, directory) -> ModelGraph:
     g = ModelGraph(layers=layers, weights=weights, input_shape=input_shape, num_classes=num_classes)
     validate_graph(g)
     return g
+
+
+def masks_from_manifest(manifest: dict, g: ModelGraph, directory) -> dict[str, np.ndarray]:
+    """The keep-masks that the layer entries of g's decoded manifest name, read
+    from directory; each blob holds ceil(|K| / 8) bytes of packed bits."""
+    masks: dict[str, np.ndarray] = {}
+    for layer, entry in zip(g.layers, manifest["layers"]):
+        if not entry.get("mask_file"):
+            continue
+        if not layer.is_weighted():
+            raise ValidationError(f"layer {layer.id}: a {layer.kind} layer has no mask")
+        kernel, _ = g.weights[layer.id]
+        raw = read_blob(directory, entry["mask_file"], entry.get("sha256_mask"),
+                        -(-kernel.size // 8), f"layer {layer.id}: mask")
+        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=kernel.size)
+        masks[layer.id] = bits.astype(bool).reshape(kernel.shape)
+    return masks

@@ -35,10 +35,11 @@ from .model import (
     filter_param_count,
     graph_from_manifest,
     graph_shapes,
+    masks_from_manifest,
     save_model,
     validate_graph,
 )
-from .serialize import read_blob, read_json
+from .serialize import read_json
 
 METHOD_KINDS = ("weight-magnitude", "channel-l1", "channel-random")
 CALIBRATE_STEPS = 60  # bisection steps on the strength; 2**-60 is far below a channel
@@ -311,8 +312,7 @@ def save_prune_result(result: PruneResult, manifest_path) -> None:
         "achieved_sparsity": result.achieved_sparsity,
         "per_layer_counts": dict(result.remaining_per_layer),
     }
-    save_model(result.model, manifest_path,
-               extra_top={"provenance": provenance}, masks=result.masks)
+    save_model(result.model, manifest_path, provenance=provenance, masks=result.masks)
 
 
 def load_prune_result(manifest_path) -> tuple[ModelGraph, dict[str, np.ndarray], dict]:
@@ -321,17 +321,7 @@ def load_prune_result(manifest_path) -> tuple[ModelGraph, dict[str, np.ndarray],
     directory = Path(manifest_path).parent
     manifest = read_json(manifest_path)
     g = graph_from_manifest(manifest, directory)
-    masks: dict[str, np.ndarray] = {}
-    for layer, entry in zip(g.layers, manifest["layers"]):
-        if not entry.get("mask_file"):
-            continue
-        if not layer.is_weighted():
-            raise ValidationError(f"layer {layer.id}: a {layer.kind} layer has no mask")
-        kernel, _ = g.weights[layer.id]
-        raw = read_blob(directory, entry["mask_file"], entry.get("sha256_mask"),
-                        -(-kernel.size // 8), f"layer {layer.id}: mask")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=kernel.size)
-        masks[layer.id] = bits.astype(bool).reshape(kernel.shape)
+    masks = masks_from_manifest(manifest, g, directory)
     provenance = manifest.get("provenance", {})
     if not isinstance(provenance, dict):
         raise ValidationError("manifest provenance is not an object")

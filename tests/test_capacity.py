@@ -193,7 +193,7 @@ BLAS_PROBE = """
 import hashlib
 from prunekit.capacity import capacity_profile
 from prunekit.data import synthetic_textures
-from prunekit.engine import TrainConfig, forward_batches, loss_and_grads, train
+from prunekit.engine import TrainConfig, forward, loss_and_grads, train
 from prunekit.presets import desk_chain, table1_chain
 from prunekit.tensors import frobenius_norm
 g = table1_chain(seed=0)
@@ -201,7 +201,7 @@ print(repr(frobenius_norm(g.weights["FC1"][0])))
 d = synthetic_textures(4, 32, 32, 3, num_classes=10, seed=1)
 print(repr(capacity_profile(g, d).layer("FC1").mu))
 d = synthetic_textures(20, 32, 32, 3, num_classes=10, seed=2)
-out, trace = forward_batches(g, d.images, 256, frozenset(g.prunable_ids()))
+out, trace = forward(g, d.images, frozenset(g.prunable_ids()))
 digest = hashlib.sha256(out.tobytes())
 for norms in trace.values():
     for a in norms:

@@ -3,6 +3,7 @@ import io
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,19 @@ def test_eval_shape_mismatch_exits_2(workdir, capsys):
     code, _, err = run(["eval", "--model", workdir / "model.json", "--data", bad], capsys)
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize("layer_id, activation", [("f2", "relu"), ("f1", "softmax")],
+                         ids=["final-not-softmax", "softmax-below-final"])
+def test_train_misplaced_softmax_exits_2(workdir, capsys, layer_id, activation):
+    g = load_model(workdir / "model.json")
+    g.layers = [replace(l, activation=activation) if l.id == layer_id else l for l in g.layers]
+    save_model(g, workdir / "bad.json")
+    code, _, err = run(["train", "--model", workdir / "bad.json", "--data", workdir / "data.pkds",
+                        "--out", workdir / "t.json", "--epochs", 1, "--lr", 0.01], capsys)
+    assert code == 2
+    assert "softmax" in err
+    assert not (workdir / "t.json").exists()
 
 
 def test_non_finite_weight_blob_exits_2(workdir, capsys):

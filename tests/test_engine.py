@@ -16,7 +16,6 @@ from prunekit.engine import (
     evaluate,
     finetune,
     forward,
-    forward_batches,
     init_weights,
     loss_and_grads,
     train,
@@ -265,7 +264,7 @@ def test_forward_batches_joins_per_slice_forwards(batch_size, workers):
     g = conv_chain(seed=4)
     d = tiny_dataset(n=40)
     capture = {"f1", "c1", "c2"}
-    out, trace = forward_batches(g, d.images, batch_size, capture, workers)
+    out, trace = forward(g, d.images, capture, workers)
     blocks = [forward(g, d.images[s:s + BLOCK_ROWS], capture)
               for s in range(0, len(d), BLOCK_ROWS)]
     expected = np.concatenate([o for o, _ in blocks])
@@ -274,7 +273,7 @@ def test_forward_batches_joins_per_slice_forwards(batch_size, workers):
     for lid, (in_norms, out_norms) in trace.items():
         assert np.array_equal(in_norms, np.concatenate([t[lid][0] for _, t in blocks]))
         assert np.array_equal(out_norms, np.concatenate([t[lid][1] for _, t in blocks]))
-    reference, _ = forward_batches(g, d.images, 40, capture, 1)
+    reference, _ = forward(g, d.images, capture, 1)
     assert np.array_equal(out, reference)
     assert evaluate(g, d, batch_size) == np.sum(expected.argmax(axis=1) == d.labels) / len(d)
 
@@ -286,7 +285,7 @@ def test_forward_batches_table1_independent_of_batch_size_and_workers():
     runs = []
     for batch_size in (1, 7, 256):
         for workers in (1, 2):
-            out, trace = forward_batches(g, d.images, batch_size, capture, workers)
+            out, trace = forward(g, d.images, capture, workers)
             profile = capacity_profile(g, d, batch_size=batch_size, workers=workers)
             runs.append((out, trace, [e.mu for e in profile.layers]))
     out0, trace0, mus0 = runs[0]
@@ -309,15 +308,46 @@ def test_forward_batches_runs_blocks_of_at_most_block_rows(monkeypatch, workers)
     monkeypatch.setattr(engine, "_run", spy)
     g = conv_chain(seed=4)
     n = 3 * BLOCK_ROWS + 5
-    forward_batches(g, tiny_dataset(n=n).images, batch_size=n, workers=workers)
+    forward(g, tiny_dataset(n=n).images, workers=workers)
     assert sorted(seen, reverse=True) == [BLOCK_ROWS] * 3 + [5]
 
 
 @pytest.mark.parametrize("rows, batch_size", [(0, 4), (3, 0)], ids=["no-rows", "batch-size-0"])
 def test_forward_batches_refuses_empty_work(rows, batch_size):
+    """forward refuses a batch of no rows; evaluate, which runs it, a batch
+    size below 1."""
     g = conv_chain(seed=4)
+    images = np.zeros((rows, 8, 8, 3))
     with pytest.raises(ValidationError):
-        forward_batches(g, np.zeros((rows, 8, 8, 3)), batch_size)
+        if rows:
+            evaluate(g, Dataset(images, np.zeros(rows, dtype=int), 4), batch_size)
+        else:
+            forward(g, images)
+
+
+def test_forward_of_one_sample_without_batch_axis():
+    g = conv_chain(seed=4)
+    x = tiny_dataset(n=1).images
+    capture = {"c1", "f1"}
+    out, trace = forward(g, x[0], capture)
+    ref_out, ref_trace = forward(g, x, capture)
+    assert out.shape == ref_out.shape and out.tobytes() == ref_out.tobytes()
+    for lid in capture:
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(trace[lid], ref_trace[lid]))
+
+
+@pytest.mark.parametrize("layer_id, activation, message", [
+    ("f2", "relu", "requires a softmax final layer"),
+    ("f1", "softmax", "softmax below the final layer"),
+], ids=["final-not-softmax", "softmax-below-final"])
+def test_training_refuses_a_misplaced_softmax(layer_id, activation, message):
+    g = conv_chain(seed=4)
+    g.layers = [replace(l, activation=activation) if l.id == layer_id else l for l in g.layers]
+    d = tiny_dataset(n=8)
+    with pytest.raises(ValidationError, match=message):
+        loss_and_grads(g, d.images, d.labels)
+    with pytest.raises(ValidationError, match=message):
+        train(g, d, TrainConfig(epochs=1, learning_rate=0.01, batch_size=8))
 
 
 def test_evaluate_constant_logits_ties_to_class_zero():
